@@ -101,15 +101,15 @@ impl std::fmt::Display for StyleStr {
 }
 
 impl Serialize for StyleStr {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.0.to_string())
+    fn serialize<S: serde::Serializer + ?Sized>(&self, s: &mut S) {
+        s.str(&self.0)
     }
 }
 
 impl Deserialize for StyleStr {
-    fn from_value(v: &serde::Value) -> Result<StyleStr, serde::Error> {
-        match v {
-            serde::Value::Str(s) => Ok(StyleStr::new(s)),
+    fn deserialize<D: serde::Deserializer + ?Sized>(d: &mut D) -> Result<StyleStr, serde::Error> {
+        match d.peek()? {
+            serde::Kind::Str => Ok(StyleStr::new(d.str()?)),
             _ => Err(serde::Error::msg("expected string for StyleStr")),
         }
     }
@@ -234,14 +234,14 @@ impl FromIterator<TextAttr> for LineAttrs {
 }
 
 impl Serialize for LineAttrs {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
+    fn serialize<S: serde::Serializer + ?Sized>(&self, s: &mut S) {
+        self.0.serialize(s)
     }
 }
 
 impl Deserialize for LineAttrs {
-    fn from_value(v: &serde::Value) -> Result<LineAttrs, serde::Error> {
-        let items = Vec::<TextAttr>::from_value(v)?;
+    fn deserialize<D: serde::Deserializer + ?Sized>(d: &mut D) -> Result<LineAttrs, serde::Error> {
+        let items = Vec::<TextAttr>::deserialize(d)?;
         // Re-establish the sorted-set invariant whatever the input order.
         Ok(items.into_iter().collect())
     }

@@ -24,7 +24,10 @@
 //! The framing is deliberately dumb: no negotiation, no versioning
 //! beyond the JSON field names, 64 MiB max payload as an anti-abuse
 //! backstop (admission control re-checks the real per-request budget).
-//! Both transports speak exactly the same bytes — [`serve_unix`] and
+//! A body that is not valid JSON — invalid UTF-8 and nesting deeper than
+//! `serde_json::MAX_DEPTH` included — is answered with an id-0
+//! `Rejected` frame and the connection keeps being served. Both
+//! transports speak exactly the same bytes — [`serve_unix`] and
 //! [`serve_tcp`] differ only in the listener.
 
 use std::collections::HashMap;
@@ -177,7 +180,9 @@ fn handle_conn<R: Read, W: Write + Send + 'static>(server: &Server, r: R, w: W) 
             Err(e) => break Err(e),
             Ok(true) => {}
         }
-        let wreq: WireRequest = match serde_json::from_str(&String::from_utf8_lossy(&body)) {
+        // Invalid UTF-8 is malformed like any other bad body: decoding it
+        // lossily would extract (and cache) text the client never sent.
+        let wreq: WireRequest = match serde_json::from_slice(&body) {
             Ok(wreq) => wreq,
             Err(e) => {
                 // Connection-level error: the body named no usable id.
@@ -412,7 +417,7 @@ impl Client {
                     "connection closed mid-response",
                 ));
             }
-            let tf: TaggedFrame = serde_json::from_str(&String::from_utf8_lossy(&self.read_buf))
+            let tf: TaggedFrame = serde_json::from_slice(&self.read_buf)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             if tf.id == 0 {
                 // Connection-level rejection: the server could not even

@@ -410,6 +410,17 @@ mod tests {
             Err(StoreError::NoActive(_))
         ));
         assert_eq!(store.engines().unwrap(), vec!["e".to_string()]);
+
+        // A hostile version file nested a million levels deep is a JSON
+        // error, not a stack overflow.
+        let mut deep = br#"{"unknown":"#.to_vec();
+        deep.resize(deep.len() + 1_000_000, b'[');
+        let path = Store::version_path(&store.engine_dir("e").unwrap(), 1);
+        fs::write(path, deep).unwrap();
+        match store.load("e", 1) {
+            Err(StoreError::Json(e)) => assert!(e.to_string().contains("nesting"), "{e}"),
+            other => panic!("expected a JSON error, got {other:?}"),
+        }
     }
 
     #[test]
