@@ -1,7 +1,8 @@
 //! Serving-path benchmark: measures what the compiled-wrapper work
 //! (interned tag-paths, render-time signatures, reusable scratch arena)
-//! and the zero-copy fused ingest (DESIGN.md §13) buy over the legacy
-//! owned-string path.
+//! and the zero-copy fused ingest (DESIGN.md §13) buy over the
+//! owned-string reference path (reference ingest, string matcher), which
+//! no production code runs any more.
 //!
 //! Experiments, all on wrapper sets built once from testbed samples:
 //!
@@ -19,8 +20,8 @@
 //!    recycling (`parse_ms`), content-line layout over prebuilt DOMs with
 //!    donor-pool recycling (`render_ms`), and the compiled match probe
 //!    (`match_ms`, same figure as experiment 1).
-//! 4. **Fast vs legacy ingest**: [`Page::try_from_html_fast`] with a
-//!    recycled [`IngestScratch`] vs [`Page::try_from_html`], html → `Page`.
+//! 4. **Fast vs reference ingest**: [`Page::try_from_html_fast`] with a
+//!    recycled [`IngestScratch`] vs [`reference_ingest`], html → `Page`.
 //!    `ingest_speedup` is the tentpole target (>= 2x). The headline
 //!    `pages_per_sec` is the full fused pipeline — html → ingest →
 //!    compiled extraction — on one thread.
@@ -29,9 +30,11 @@
 //!    scheduler + per-worker scratch.
 //!
 //! `identical_extractions` covers both identity gates: compiled vs legacy
-//! extraction on pre-rendered pages, and fast-ingest vs legacy-ingest
-//! batch extraction through [`SectionWrapperSet::extract_batch`]. Exits
-//! nonzero if either differs (the CI bench-smoke job relies on this).
+//! extraction on pre-rendered pages, and production batch extraction
+//! ([`SectionWrapperSet::extract_batch`]: fused ingest, compiled matcher)
+//! vs the full reference pipeline ([`reference_ingest`], then
+//! [`extract_page_legacy_cached`]) on every page. Exits nonzero if either
+//! differs (the CI bench-smoke job relies on this).
 //!
 //! Usage: `serve [--engines N] [--pages N] [--samples N] [--seed N]
 //!         [--reps N] [--threads N] [--out FILE] [--check-baseline FILE]`
@@ -41,12 +44,14 @@
 //! the baseline's.
 //!
 //! [`apply_wrapper`]: mse_core::wrapper::apply_wrapper
-//! [`match_page_scratch`]: mse_core::CompiledWrapperSet::match_page_scratch
+//! [`match_page_scratch`]: mse_core::CompiledRef::match_page_scratch
 //! [`extract_page_legacy_cached`]: mse_core::SectionWrapperSet::extract_page_legacy_cached
-//! [`extract_page_scratch`]: mse_core::CompiledWrapperSet::extract_page_scratch
+//! [`extract_page_scratch`]: mse_core::CompiledRef::extract_page_scratch
+//! [`reference_ingest`]: mse_core::ingest::reference_ingest
 //! [`SectionWrapperSet::extract_batch`]: mse_core::SectionWrapperSet::extract_batch
 
 use mse_bench::alloc::{counting, CountingAlloc};
+use mse_core::ingest::reference_ingest;
 use mse_core::wrapper::apply_wrapper;
 use mse_core::{
     DistanceCache, ExtractScratch, Extraction, IngestScratch, Mse, MseConfig, Page,
@@ -93,7 +98,7 @@ struct Stages {
 /// html → [`Page`] ingest comparison (no wrapper matching).
 #[derive(Serialize)]
 struct Ingest {
-    /// Legacy owned-string path: `Page::try_from_html`.
+    /// Owned-string reference path: `mse_core::ingest::reference_ingest`.
     legacy_ingest_ms: f64,
     /// Fused zero-copy path with a recycled `IngestScratch`.
     fast_ingest_ms: f64,
@@ -115,7 +120,7 @@ struct Allocations {
     /// Steady-state fused ingest (parse + render + signatures + cleaned
     /// lines) with scratch recycling, recorded on the last warm rep.
     parse_allocs_per_page: f64,
-    /// Same window on the legacy owned-string ingest, for contrast.
+    /// Same window on the owned-string reference ingest, for contrast.
     legacy_ingest_allocs_per_page: f64,
 }
 
@@ -296,8 +301,10 @@ fn main() {
         runs.len()
     );
 
-    let compiled: Vec<_> = runs.iter().map(|r| r.ws.compile()).collect();
-    let compiled_wrapper_only: Vec<_> = runs.iter().map(|r| r.wrapper_only.compile()).collect();
+    let compiled_sets: Vec<_> = runs.iter().map(|r| r.ws.compile()).collect();
+    let compiled: Vec<_> = compiled_sets.iter().map(|c| c.view()).collect();
+    let wrapper_only_sets: Vec<_> = runs.iter().map(|r| r.wrapper_only.compile()).collect();
+    let compiled_wrapper_only: Vec<_> = wrapper_only_sets.iter().map(|c| c.view()).collect();
 
     // ---- 1. Single-thread match probe (apply-wrapper speedup) ----
     let mut scratch = ExtractScratch::new();
@@ -458,7 +465,7 @@ fn main() {
     }
     drop(doms);
 
-    // ---- 4. Fast vs legacy ingest (html → Page) + headline ----
+    // ---- 4. Fast vs reference ingest (html → Page) + headline ----
     let mut ingest_scratch = IngestScratch::new();
     let mut legacy_ingest_ms = f64::MAX;
     let mut fast_ingest_ms = f64::MAX;
@@ -470,7 +477,7 @@ fn main() {
             let ((), a, b) = counting(|| {
                 for run in &runs {
                     for (html, q) in &run.inputs {
-                        let (page, _) = Page::try_from_html(html, Some(q), &budget)
+                        let (page, _) = reference_ingest(html, Some(q), &budget)
                             .expect("testbed page within budget");
                         sink = sink.wrapping_add(page.rp.lines.len());
                     }
@@ -520,8 +527,9 @@ fn main() {
     }
     let pages_per_sec = total_pages as f64 / (e2e_ms / 1e3);
 
-    // Identity gate for the fused ingest: the production batch entry with
-    // `legacy_ingest` toggled must produce byte-identical JSON.
+    // Identity gate for the production path: batch extraction (fused
+    // ingest, compiled matcher) must produce the JSON of the reference
+    // pipeline (owned-string ingest, string matcher) on every page.
     let mut identical_ingest = true;
     for run in &runs {
         let refs: Vec<(&str, Option<&str>)> = run
@@ -530,9 +538,19 @@ fn main() {
             .map(|(h, q)| (h.as_str(), Some(q.as_str())))
             .collect();
         let fast = run.ws.extract_batch(&refs);
-        let mut legacy_ws = run.ws.clone();
-        legacy_ws.cfg.legacy_ingest = true;
-        let legacy = legacy_ws.extract_batch(&refs);
+        let legacy: Vec<Extraction> = refs
+            .iter()
+            .map(
+                |(html, q)| match reference_ingest(html, *q, &run.ws.cfg.budget) {
+                    Ok((page, diags)) => {
+                        let mut ex = run.ws.extract_page_legacy_cached(&page, &cache);
+                        ex.diagnostics.splice(0..0, diags);
+                        ex
+                    }
+                    Err(e) => Extraction::degraded(&e),
+                },
+            )
+            .collect();
         let same = match (serde_json::to_string(&fast), serde_json::to_string(&legacy)) {
             (Ok(a), Ok(b)) => a == b,
             _ => false,

@@ -131,7 +131,7 @@ pub fn usage() -> String {
      USAGE:\n\
      \x20 mse gen     --seed N --engine ID [--pages N] --out DIR\n\
      \x20 mse build   --out WRAPPER.json PAGE[:QUERY]...\n\
-     \x20 mse extract --wrapper WRAPPER.json [--query Q] [--annotate] [--legacy] PAGE\n\
+     \x20 mse extract --wrapper WRAPPER.json [--query Q] [--annotate] [--json] PAGE\n\
      \x20 mse extract --wrapper WRAPPER.json [--threads N] [--json] PAGE...\n\
      \x20 mse eval    [--small] [--seed N] [--threads N]\n\
      \x20 mse lint    [--deny-warnings] WRAPPER.json...\n\
@@ -188,7 +188,6 @@ fn parse_opts(args: &[String]) -> Result<ParsedArgs, CliError> {
                 "small"
                     | "annotate"
                     | "json"
-                    | "legacy"
                     | "strict"
                     | "deny-warnings"
                     | "relearn"
@@ -311,6 +310,10 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_extract(args: &[String]) -> Result<String, CliError> {
     let (opts, pos) = parse_opts(args)?;
+    const KNOWN: [&str; 6] = ["wrapper", "query", "annotate", "json", "threads", "strict"];
+    if let Some((name, _)) = opts.iter().find(|(n, _)| !KNOWN.contains(&n.as_str())) {
+        return err(format!("extract: unknown option --{name}"));
+    }
     let Some(wrapper_path) = opt(&opts, "wrapper") else {
         return err("extract requires --wrapper WRAPPER.json");
     };
@@ -331,11 +334,6 @@ fn cmd_extract(args: &[String]) -> Result<String, CliError> {
     if opt(&opts, "strict").is_some() {
         ws.cfg.strict_verify = true;
     }
-    // --legacy also routes batch ingestion through the owned-string
-    // parser (fast fused ingest off) — the full reference pipeline.
-    if opt(&opts, "legacy").is_some() {
-        ws.cfg.legacy_ingest = true;
-    }
     mse_analyze::preserve_gate(&ws)
         .map_err(|e| CliError::data(format!("wrapper set refused: {e}")))?;
     if pos.len() > 1 {
@@ -344,13 +342,7 @@ fn cmd_extract(args: &[String]) -> Result<String, CliError> {
     let page_path = &pos[0];
     let html = fs::read_to_string(page_path)
         .map_err(|e| CliError::no_input(format!("cannot read {page_path}: {e}")))?;
-    // --legacy runs the pre-compilation reference path (useful for
-    // differential debugging); output is byte-identical by contract.
-    let ex = if opt(&opts, "legacy").is_some() {
-        ws.extract_with_query_legacy(&html, opt(&opts, "query"))
-    } else {
-        ws.extract_with_query(&html, opt(&opts, "query"))
-    };
+    let ex = ws.extract_with_query(&html, opt(&opts, "query"));
 
     if opt(&opts, "json").is_some() {
         return serde_json::to_string_pretty(&ex).map_err(|e| CliError::internal(e.to_string()));
@@ -985,6 +977,16 @@ mod tests {
         ]))
         .expect("extract --json");
         let _: mse_core::Extraction = serde_json::from_str(&out).expect("json output parses");
+        // There is one extraction path; the old path selector is refused.
+        let refused = run(&s(&[
+            "extract",
+            "--wrapper",
+            &format!("{dir_s}/wrapper.json"),
+            "--legacy",
+            &format!("{dir_s}/page5.html"),
+        ]))
+        .expect_err("extract --legacy");
+        assert_eq!(refused.code, 2, "{}", refused.message);
         let _ = fs::remove_dir_all(&dir);
     }
 

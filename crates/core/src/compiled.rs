@@ -1,11 +1,12 @@
-//! Compiled wrappers: the allocation-free extraction *serving* path.
+//! Compiled wrappers: the allocation-free matcher, and the only one
+//! production code runs.
 //!
-//! [`apply_wrapper`](crate::wrapper::apply_wrapper) is correct but built
-//! for clarity: every candidate container re-derives child start chains as
-//! heap `String`s, compares separators by string equality, and maps node
-//! groups to line ranges by scanning the page. Once a wrapper is learned,
-//! though, it is applied to *every* subsequent result page of its engine —
-//! the paper's §6 steps 8–9 — so this module compiles a
+//! [`apply_wrapper`](crate::wrapper::apply_wrapper) states the matching
+//! rule for clarity: every candidate container re-derives child start
+//! chains as heap `String`s, compares separators by string equality, and
+//! maps node groups to line ranges by scanning the page. Once a wrapper is
+//! learned, though, it is applied to *every* subsequent result page of its
+//! engine — the paper's §6 steps 8–9 — so this module compiles a
 //! [`SectionWrapperSet`] into an integer-only form keyed by the global
 //! tag interner ([`mse_dom::intern`]):
 //!
@@ -21,13 +22,16 @@
 //!   family Dinr check are the only allocating steps, and only run for
 //!   pages that actually match).
 //!
-//! Semantics are **byte-identical** to the legacy path
-//! ([`SectionWrapperSet::extract_page_legacy_cached`]): symbol equality is
-//! string equality (the interner is injective), chain triples are
-//! injective images of chain strings (labels never contain `>`), and the
-//! candidate enumeration / tie-breaking order mirrors the legacy code
-//! line for line. The differential test in `tests/` and the `serve`
-//! benchmark's `identical_extractions` check both enforce this.
+//! Every extraction entry point runs it, and so does wrapper build's
+//! self-validation step (one wrapper at a time, through a build-owned
+//! scratch). The string matcher
+//! ([`SectionWrapperSet::extract_page_legacy_cached`]) stays only as the
+//! reference: symbol equality is string equality (the interner is
+//! injective), chain triples are injective images of chain strings (labels
+//! never contain `>`), and the candidate enumeration / tie-breaking order
+//! mirrors the reference line for line. The differential test in `tests/`
+//! and the `serve` benchmark's `identical_extractions` check both hold the
+//! two to byte-identical output.
 
 use crate::cache::DistanceCache;
 use crate::config::MseConfig;
@@ -226,7 +230,7 @@ fn compile_seps(seps: &[String]) -> Vec<ChainSig> {
     out
 }
 
-fn compile_wrapper(w: &SectionWrapper) -> CompiledWrapper {
+pub(crate) fn compile_wrapper(w: &SectionWrapper) -> CompiledWrapper {
     CompiledWrapper {
         pref: compile_steps(&w.pref.steps),
         seps: compile_seps(&w.seps),
@@ -541,6 +545,21 @@ fn apply_wrapper_compiled(
 }
 // mse:hot end(apply-wrapper)
 
+/// Build-time self-validation probe: one wrapper applied on its own, no
+/// containers claimed by other schemas. Returns the section's line span
+/// and record count.
+pub(crate) fn probe_wrapper(
+    page: &Page,
+    cfg: &MseConfig,
+    w: &SectionWrapper,
+    cw: &CompiledWrapper,
+    scratch: &mut ExtractScratch,
+) -> Option<(usize, usize, usize)> {
+    scratch.reset_page();
+    let (_, start, end) = apply_wrapper_compiled(page, cfg, w, cw, scratch)?;
+    Some((start, end, scratch.best_records.len()))
+}
+
 /// Does this node's element-path tag sequence match the Type-2 family
 /// prefix/suffix pattern? Symbol-compare equivalent of the legacy
 /// `CompactTagPath::to_node` + `starts_with`/`ends_with` probe.
@@ -573,7 +592,7 @@ fn type2_path_matches(
 }
 // mse:hot end(type2-path-probe)
 
-impl<'w> CompiledWrapperSet<'w> {
+impl CompiledWrapperSet<'_> {
     /// Borrow this compiled set as the [`CompiledRef`] view all
     /// extraction methods run on.
     pub fn view(&self) -> CompiledRef<'_> {
@@ -582,49 +601,6 @@ impl<'w> CompiledWrapperSet<'w> {
             wrappers: &self.wrappers,
             families: &self.families,
         }
-    }
-
-    /// Extraction over an already-rendered page with a fresh scratch.
-    pub fn extract_page(&self, page: &Page) -> Extraction {
-        self.view().extract_page(page)
-    }
-
-    /// [`extract_page`](CompiledWrapperSet::extract_page) with a shared
-    /// distance memo.
-    pub fn extract_page_cached(&self, page: &Page, cache: &DistanceCache) -> Extraction {
-        self.view().extract_page_cached(page, cache)
-    }
-
-    /// See [`CompiledRef::extract_page_scratch`].
-    pub fn extract_page_scratch(
-        &self,
-        page: &Page,
-        cache: &DistanceCache,
-        scratch: &mut ExtractScratch,
-    ) -> Extraction {
-        self.view().extract_page_scratch(page, cache, scratch)
-    }
-
-    /// See [`CompiledRef::extract_stream_scratch`].
-    pub fn extract_stream_scratch<S: RecordSink>(
-        &self,
-        page: &Page,
-        cache: &DistanceCache,
-        scratch: &mut ExtractScratch,
-        sink: &mut S,
-    ) {
-        self.view()
-            .extract_stream_scratch(page, cache, scratch, sink)
-    }
-
-    /// See [`CompiledRef::match_page_scratch`].
-    pub fn match_page_scratch(
-        &self,
-        page: &Page,
-        cache: &DistanceCache,
-        scratch: &mut ExtractScratch,
-    ) -> (usize, usize) {
-        self.view().match_page_scratch(page, cache, scratch)
     }
 }
 

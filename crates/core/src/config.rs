@@ -201,15 +201,6 @@ pub struct MseConfig {
     /// loading (gate off).
     #[serde(default)]
     pub strict_verify: bool,
-    /// Route batch extraction through the legacy owned-string ingest
-    /// (tokenizer → owned DOM → fresh render buffers) instead of the
-    /// zero-copy fused parse (DESIGN.md §13). Results are byte-identical
-    /// either way; only wall-clock time and allocation counts change.
-    /// `mse extract --legacy` sets this alongside the legacy matcher.
-    /// `#[serde(default)]` so configs saved before this field existed
-    /// still deserialize (fast ingest on).
-    #[serde(default)]
-    pub legacy_ingest: bool,
     /// Thresholds for the rolling drift verdict and the shadow re-learn
     /// ring (see [`crate::maintenance`]). `#[serde(default)]` so configs
     /// saved before the lifecycle existed still deserialize.
@@ -243,7 +234,6 @@ impl Default for MseConfig {
             enable_distance_cache: true,
             budget: ResourceBudget::default(),
             strict_verify: false,
-            legacy_ingest: false,
             drift: crate::maintenance::DriftThresholds::default(),
         }
     }

@@ -214,26 +214,16 @@ fn marker_attrs(
 }
 
 /// Apply a family to a page: every validated candidate container becomes a
-/// section instance.
+/// section instance. The string-comparing reference of the compiled
+/// family matcher (see [`crate::compiled`]); no production path runs it.
 pub fn apply_family(
     page: &Page,
     cfg: &MseConfig,
     fam: &FamilyWrapper,
     claimed: &[NodeId],
 ) -> Vec<(NodeId, SectionInst)> {
-    apply_family_cached(page, cfg, fam, claimed, &DistanceCache::disabled())
-}
-
-/// [`apply_family`] with a shared distance memo (see [`DistanceCache`]).
-pub fn apply_family_cached(
-    page: &Page,
-    cfg: &MseConfig,
-    fam: &FamilyWrapper,
-    claimed: &[NodeId],
-    cache: &DistanceCache,
-) -> Vec<(NodeId, SectionInst)> {
-    let mut feats = Features::with_cache(page, cfg, cache);
-    apply_family_with(&mut feats, fam, claimed)
+    let cache = DistanceCache::disabled();
+    apply_family_with(&mut Features::with_cache(page, cfg, &cache), fam, claimed)
 }
 
 /// [`apply_family`] against a caller-owned [`Features`] calculator (one per

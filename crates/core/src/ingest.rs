@@ -1,10 +1,10 @@
 //! Fused zero-copy ingest: HTML → [`Page`] with every per-page buffer
-//! drawn from a reusable [`IngestScratch`] (DESIGN.md §13).
-//!
-//! The legacy ingest ([`Page::try_from_html`]) tokenizes into owned
-//! strings, builds a fresh arena DOM, renders into fresh line buffers and
-//! derives [`mse_render::PageSigs`] with a separate labeling pass. This
-//! module chains the zero-copy serving front ends instead:
+//! drawn from a reusable [`IngestScratch`] (DESIGN.md §13). It is the only
+//! ingest production code runs: build, one-shot and batch extraction,
+//! health checks and the daemon all reach [`Page::try_from_html_fast`]
+//! (directly, or through [`Page::try_from_html`] and
+//! [`Page::from_html`] with a fresh scratch). It chains the zero-copy
+//! front ends:
 //!
 //! * [`mse_dom::parse_serving`] — borrow-the-input lexer, clear-don't-drop
 //!   node arena, per-node signature labels tracked during construction;
@@ -14,16 +14,21 @@
 //!   recycled vectors, reusing the parser's label table;
 //! * pooled cleaned-line strings via `clean_line_into`.
 //!
-//! The contract, enforced by `tests/parse_differential.rs` and the `serve`
-//! bench's `identical_extractions` gate: for any input, the fast path
-//! produces a [`Page`] whose extraction output is byte-identical to the
-//! legacy path's.
+//! [`reference_ingest`] keeps the owned-string front end (tokenizer →
+//! owned DOM → fresh render buffers → separate labeling pass) as the
+//! oracle. The contract, enforced by `tests/parse_differential.rs` and the
+//! `serve` bench's `identical_extractions` gate: for any input, the fused
+//! path produces a [`Page`] whose extraction output is byte-identical to
+//! the reference's.
 
 use crate::config::ResourceBudget;
 use crate::error::{Diagnostic, ExtractError, Stage};
 use crate::page::{clean_line_into, Page, HR_TEXT, IMG_TEXT};
 use mse_dom::ParseScratch;
-use mse_render::{render_lines_capped_scratch, LineScratch, LineType, RenderedPage, SigScratch};
+use mse_render::{
+    render_lines_capped, render_lines_capped_scratch, LineScratch, LineType, RenderedPage,
+    SigScratch,
+};
 
 /// Clear-don't-drop state for repeated page ingestion; one per worker in
 /// batch extraction (mirroring [`crate::compiled::ExtractScratch`]).
@@ -81,10 +86,12 @@ impl IngestScratch {
 }
 
 impl Page {
-    /// [`Page::try_from_html`] on the fused zero-copy path: identical
-    /// budget semantics (parse trips are hard errors, render truncation
-    /// degrades with a [`Diagnostic`]) and byte-identical output, with all
-    /// per-page buffers drawn from `scratch`.
+    /// The ingest every production path runs: [`mse_dom::parse_serving`],
+    /// [`render_lines_capped_scratch`] and
+    /// [`RenderedPage::assemble_fused`], with all per-page buffers drawn
+    /// from `scratch`. Parse-stage budget trips are hard errors; render
+    /// truncation degrades with a [`Diagnostic`] (see
+    /// [`Page::try_from_html`]).
     pub fn try_from_html_fast(
         html: &str,
         query: Option<&str>,
@@ -95,17 +102,20 @@ impl Page {
             mse_dom::parse_serving(html, &budget.parse_limits(), &mut scratch.parse)?;
         let (lines, truncated) =
             render_lines_capped_scratch(&dom, budget.max_content_lines, &mut scratch.lines);
-        let mut diags = Vec::new();
-        if truncated {
-            diags.push(Diagnostic::new(
-                Stage::Render,
-                format!(
-                    "page truncated at the {}-content-line budget",
-                    budget.max_content_lines
-                ),
-            ));
-        }
         let rp = RenderedPage::assemble_fused(dom, lines, labels, &mut scratch.sigs);
+        Ok((
+            Page::with_cleaned(rp, query, scratch),
+            truncation_diagnostics(truncated, budget),
+        ))
+    }
+
+    /// Attach the cleaned text of every content line (§5.2 lines 1–2),
+    /// the strings drawn from `scratch`'s pool.
+    pub(crate) fn with_cleaned(
+        rp: RenderedPage,
+        query: Option<&str>,
+        scratch: &mut IngestScratch,
+    ) -> Page {
         let mut cleaned = std::mem::take(&mut scratch.cleaned);
         cleaned.clear();
         for l in &rp.lines {
@@ -118,15 +128,46 @@ impl Page {
             }
             cleaned.push(out);
         }
-        Ok((
-            Page {
-                rp,
-                query: query.map(str::to_string),
-                cleaned,
-            },
-            diags,
-        ))
+        Page {
+            rp,
+            query: query.map(str::to_string),
+            cleaned,
+        }
     }
+}
+
+/// The render-stage diagnostic of a page truncated at the line budget.
+fn truncation_diagnostics(truncated: bool, budget: &ResourceBudget) -> Vec<Diagnostic> {
+    if !truncated {
+        return Vec::new();
+    }
+    vec![Diagnostic::new(
+        Stage::Render,
+        format!(
+            "page truncated at the {}-content-line budget",
+            budget.max_content_lines
+        ),
+    )]
+}
+
+/// The owned-string reference ingest: [`mse_dom::parse_with_limits`]
+/// (owned token stream, comment nodes kept), a fresh render and a
+/// separate signature pass ([`RenderedPage::assemble`]). No production
+/// path runs it; the differential tests and the `serve` bench hold
+/// [`Page::try_from_html_fast`] to byte-identical extractions against it.
+#[doc(hidden)]
+pub fn reference_ingest(
+    html: &str,
+    query: Option<&str>,
+    budget: &ResourceBudget,
+) -> Result<(Page, Vec<Diagnostic>), ExtractError> {
+    let dom = mse_dom::parse_with_limits(html, &budget.parse_limits())?;
+    let (lines, truncated) = render_lines_capped(&dom, budget.max_content_lines);
+    let rp = RenderedPage::assemble(dom, lines);
+    Ok((
+        Page::with_cleaned(rp, query, &mut IngestScratch::new()),
+        truncation_diagnostics(truncated, budget),
+    ))
 }
 
 #[cfg(test)]
@@ -167,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_ingest_matches_legacy_with_scratch_reuse() {
+    fn fast_ingest_matches_reference_with_scratch_reuse() {
         let budget = ResourceBudget::default();
         let mut scratch = IngestScratch::new();
         // Reuse one scratch across all cases — recycling must not leak
@@ -178,7 +219,7 @@ mod tests {
                     Page::try_from_html_fast(html, Some("title"), &budget, &mut scratch)
                         .expect("fast ingest");
                 let (legacy, ld) =
-                    Page::try_from_html(html, Some("title"), &budget).expect("legacy ingest");
+                    reference_ingest(html, Some("title"), &budget).expect("reference ingest");
                 assert_eq!(fd.len(), ld.len());
                 pages_equal(&fast, &legacy);
                 scratch.recycle(fast);
@@ -187,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_ingest_budget_trips_match_legacy() {
+    fn fast_ingest_budget_trips_match_reference() {
         let tight = ResourceBudget {
             max_dom_nodes: 8,
             ..ResourceBudget::default()
@@ -195,12 +236,12 @@ mod tests {
         let mut scratch = IngestScratch::new();
         let html = "<body><div><p>a</p><p>b</p><p>c</p><p>d</p></div></body>";
         let fast = Page::try_from_html_fast(html, None, &tight, &mut scratch);
-        let legacy = Page::try_from_html(html, None, &tight);
+        let legacy = reference_ingest(html, None, &tight);
         assert!(fast.is_err() && legacy.is_err());
     }
 
     #[test]
-    fn fast_ingest_truncation_diagnostic_matches_legacy() {
+    fn fast_ingest_truncation_diagnostic_matches_reference() {
         let tight = ResourceBudget {
             max_content_lines: 1,
             ..ResourceBudget::default()
@@ -208,7 +249,7 @@ mod tests {
         let mut scratch = IngestScratch::new();
         let html = "<body><p>one</p><p>two</p></body>";
         let (fast, fd) = Page::try_from_html_fast(html, None, &tight, &mut scratch).unwrap();
-        let (legacy, ld) = Page::try_from_html(html, None, &tight).unwrap();
+        let (legacy, ld) = reference_ingest(html, None, &tight).unwrap();
         assert_eq!(fd.len(), 1);
         assert_eq!(fd.len(), ld.len());
         pages_equal(&fast, &legacy);

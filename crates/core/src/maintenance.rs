@@ -11,8 +11,7 @@
 //!   wrapper set over freshly fetched pages and report per-wrapper
 //!   health. Pages are ingested through the same budgeted path as
 //!   production extraction ([`Page::try_from_html_fast`] with an
-//!   [`IngestScratch`], or the legacy owned-string ingest when
-//!   [`MseConfig::legacy_ingest`] is set), so a hostile fetched page can
+//!   [`IngestScratch`]), so a hostile fetched page can
 //!   trip the [`ResourceBudget`](crate::config::ResourceBudget) instead
 //!   of blowing past it; a page that fails ingest counts as unhealthy and
 //!   never aborts the batch.
@@ -184,9 +183,8 @@ impl SectionWrapperSet {
 
     /// Check this wrapper set against freshly fetched pages.
     ///
-    /// Pages are ingested through the budgeted path (fast fused ingest
-    /// with scratch reuse, or the legacy owned-string ingest when
-    /// [`MseConfig::legacy_ingest`] is set): a page that trips the
+    /// Pages are ingested through the budgeted fused ingest with scratch
+    /// reuse, as in batch extraction: a page that trips the
     /// [`ResourceBudget`](crate::config::ResourceBudget) is counted as
     /// unhealthy ([`HealthReport::ingest_failures`]) and skipped — it
     /// never aborts the batch and never bypasses the limits the budget
@@ -209,11 +207,7 @@ impl SectionWrapperSet {
         let mut scratch = IngestScratch::new();
 
         for (html, query) in pages {
-            let ingested = if self.cfg.legacy_ingest {
-                Page::try_from_html(html, *query, &self.cfg.budget)
-            } else {
-                Page::try_from_html_fast(html, *query, &self.cfg.budget, &mut scratch)
-            };
+            let ingested = Page::try_from_html_fast(html, *query, &self.cfg.budget, &mut scratch);
             let (page, _diags) = match ingested {
                 Ok(ok) => ok,
                 Err(_) => {
@@ -252,9 +246,7 @@ impl SectionWrapperSet {
                     }
                 }
             }
-            if !self.cfg.legacy_ingest {
-                scratch.recycle(page);
-            }
+            scratch.recycle(page);
         }
 
         let wrappers = (0..n_wrappers)
@@ -833,10 +825,6 @@ mod tests {
             s,
             WrapperStatus::Healthy { .. } | WrapperStatus::Degraded { .. }
         )));
-        // Same outcome on the legacy ingest path.
-        ws.cfg.legacy_ingest = true;
-        let legacy = ws.health_check(&pages);
-        assert_eq!(legacy.ingest_failures, 1, "{legacy:?}");
     }
 
     #[test]

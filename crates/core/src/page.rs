@@ -2,8 +2,9 @@
 //! per-line record features.
 
 use crate::config::{MseConfig, ResourceBudget};
-use crate::error::{Diagnostic, ExtractError, Stage};
-use mse_render::{render_lines_capped, LineType, RenderedPage};
+use crate::error::{Diagnostic, ExtractError};
+use crate::ingest::IngestScratch;
+use mse_render::{LineType, RenderedPage};
 use mse_treedit::{forest_of, TagTree};
 
 /// Cleaned-text placeholder for an `<hr>` line (matches testbed's marker).
@@ -22,25 +23,16 @@ pub struct Page {
 }
 
 impl Page {
-    pub fn new(rp: RenderedPage, query: Option<&str>) -> Page {
-        let cleaned = rp
-            .lines
-            .iter()
-            .map(|l| match l.ltype {
-                LineType::Hr => HR_TEXT.to_string(),
-                LineType::Image if l.text.is_empty() => IMG_TEXT.to_string(),
-                _ => clean_line(&l.text, query),
-            })
-            .collect();
-        Page {
-            rp,
-            query: query.map(str::to_string),
-            cleaned,
-        }
-    }
-
+    /// Parse and render a trusted page with no resource limits (depth
+    /// still clamps), on the fused front ends with fresh scratch
+    /// ([`RenderedPage::from_html`]); tests, benches and diagnostics use
+    /// it.
     pub fn from_html(html: &str, query: Option<&str>) -> Page {
-        Page::new(RenderedPage::from_html(html), query)
+        Page::with_cleaned(
+            RenderedPage::from_html(html),
+            query,
+            &mut IngestScratch::new(),
+        )
     }
 
     /// Budget-aware ingestion of an untrusted page. Parse-stage budget
@@ -48,24 +40,15 @@ impl Page {
     /// meaningful partial DOM. A render-stage trip (line budget) degrades:
     /// the page is truncated at the budget and the truncation is reported
     /// as a [`Diagnostic`] so callers can surface a *partial* extraction.
+    ///
+    /// [`Page::try_from_html_fast`] with a fresh scratch; callers that
+    /// ingest many pages should hold an [`IngestScratch`] and call that.
     pub fn try_from_html(
         html: &str,
         query: Option<&str>,
         budget: &ResourceBudget,
     ) -> Result<(Page, Vec<Diagnostic>), ExtractError> {
-        let dom = mse_dom::parse_with_limits(html, &budget.parse_limits())?;
-        let (lines, truncated) = render_lines_capped(&dom, budget.max_content_lines);
-        let mut diags = Vec::new();
-        if truncated {
-            diags.push(Diagnostic::new(
-                Stage::Render,
-                format!(
-                    "page truncated at the {}-content-line budget",
-                    budget.max_content_lines
-                ),
-            ));
-        }
-        Ok((Page::new(RenderedPage::assemble(dom, lines), query), diags))
+        Page::try_from_html_fast(html, query, budget, &mut IngestScratch::new())
     }
 
     /// [`try_from_html`](Page::try_from_html) with render truncation

@@ -2,6 +2,7 @@
 //! sample pages and extraction from new pages.
 
 use crate::cache::DistanceCache;
+use crate::compiled::{compile_wrapper, probe_wrapper, ExtractScratch};
 use crate::config::MseConfig;
 use crate::dse::{csbm_flags_cached, identify_dss};
 use crate::error::{Diagnostic, ExtractError, Stage};
@@ -299,28 +300,30 @@ impl Mse {
             .collect();
 
         // Self-validation (the ViNTs wrapper-verification step): re-apply
-        // each wrapper to the sample pages; it must reproduce an analyzed
-        // section instance (≥ half of the records with exact boundaries)
-        // on at least two pages. Umbrella wrappers built from junk
-        // instances partition whole content areas and fail this.
+        // each wrapper to the sample pages with the serving matcher; it
+        // must reproduce an analyzed section instance (≥ half of the
+        // records with exact boundaries) on at least two pages. Umbrella
+        // wrappers built from junk instances partition whole content
+        // areas and fail this.
+        let mut scratch = ExtractScratch::new();
         wrappers.retain(|w| {
-            let mut ok = 0;
-            for (page, insts) in pages.iter().zip(&sections) {
-                if let Some((_, sec)) = apply_wrapper(page, &self.cfg, w, &[]) {
-                    let agrees = insts.iter().any(|inst| {
-                        let overlap = inst.overlap(sec.start, sec.end);
-                        let smaller = inst.len_lines().min(sec.end - sec.start).max(1);
-                        let spans_match = overlap * 10 >= smaller * 7;
-                        let counts_sane = sec.records.len() * 2 >= inst.records.len()
-                            && inst.records.len() * 2 >= sec.records.len();
-                        spans_match && counts_sane
-                    });
-                    if agrees {
-                        ok += 1;
-                    }
-                }
-            }
-            ok >= 2
+            let cw = compile_wrapper(w);
+            let agreeing = pages.iter().zip(&sections).filter(|(page, insts)| {
+                let Some((start, end, n_records)) =
+                    probe_wrapper(page, &self.cfg, w, &cw, &mut scratch)
+                else {
+                    return false;
+                };
+                insts.iter().any(|inst| {
+                    let overlap = inst.overlap(start, end);
+                    let smaller = inst.len_lines().min(end - start).max(1);
+                    let spans_match = overlap * 10 >= smaller * 7;
+                    let counts_sane =
+                        n_records * 2 >= inst.records.len() && inst.records.len() * 2 >= n_records;
+                    spans_match && counts_sane
+                })
+            });
+            agreeing.count() >= 2
         });
         if wrappers.is_empty() {
             return Err(BuildError::NoSections);
@@ -485,29 +488,14 @@ impl SectionWrapperSet {
     /// [`ExtractScratch`](crate::compiled::ExtractScratch) — this
     /// convenience wrapper re-compiles per call.
     pub fn extract_page_cached(&self, page: &Page, cache: &DistanceCache) -> Extraction {
-        self.compile().extract_page_cached(page, cache)
+        self.compile().view().extract_page_cached(page, cache)
     }
 
-    /// [`extract_with_query`](SectionWrapperSet::extract_with_query) on
-    /// the legacy (string-comparing) path — kept for differential testing
-    /// and the `serve` benchmark baseline; `mse extract --legacy` exposes
-    /// it from the CLI.
-    pub fn extract_with_query_legacy(&self, html: &str, query: Option<&str>) -> Extraction {
-        match Page::try_from_html(html, query, &self.cfg.budget) {
-            Ok((page, diags)) => {
-                let mut ex = self.extract_page_legacy_cached(&page, &DistanceCache::disabled());
-                ex.diagnostics.splice(0..0, diags);
-                ex
-            }
-            Err(e) => Extraction::degraded(&e),
-        }
-    }
-
-    /// The pre-compilation reference implementation of
-    /// [`extract_page_cached`]: string start-chains, per-candidate page
-    /// scans. The compiled path must produce byte-identical output — the
-    /// differential test and the `serve` bench's `identical_extractions`
-    /// gate both compare against this.
+    /// The string-comparing reference matcher: string start-chains,
+    /// per-candidate page scans. No production path runs it; the compiled
+    /// matcher ([`extract_page_cached`](SectionWrapperSet::extract_page_cached))
+    /// must produce byte-identical output, which the differential tests
+    /// and the `serve` bench's `identical_extractions` gate check.
     pub fn extract_page_legacy_cached(&self, page: &Page, cache: &DistanceCache) -> Extraction {
         let clock = StageClock::new(self.cfg.budget.stage_deadline_ms);
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
@@ -654,15 +642,14 @@ impl SectionWrapperSet {
     /// reused [`crate::compiled::ExtractScratch`] arena and one
     /// [`crate::ingest::IngestScratch`] per worker: pages are ingested on
     /// the fused zero-copy path ([`Page::try_from_html_fast`]) and their
-    /// buffers recycled after extraction. Set
-    /// [`MseConfig::legacy_ingest`](crate::config::MseConfig) to route
-    /// through the owned-string ingest instead (identical output).
+    /// buffers recycled after extraction.
     pub fn extract_batch_cached(
         &self,
         inputs: &[(&str, Option<&str>)],
         cache: &DistanceCache,
     ) -> Vec<Extraction> {
-        let cw = self.compile();
+        let compiled = self.compile();
+        let cw = compiled.view();
         crate::par::par_map_with(
             inputs,
             self.cfg.effective_threads(),
@@ -673,11 +660,7 @@ impl SectionWrapperSet {
                 )
             },
             |(scratch, ingest), _, (html, q)| {
-                let ingested = if self.cfg.legacy_ingest {
-                    Page::try_from_html(html, *q, &self.cfg.budget)
-                } else {
-                    Page::try_from_html_fast(html, *q, &self.cfg.budget, ingest)
-                };
+                let ingested = Page::try_from_html_fast(html, *q, &self.cfg.budget, ingest);
                 match ingested {
                     Ok((page, diags)) => {
                         let mut ex = cw.extract_page_scratch(&page, cache, scratch);

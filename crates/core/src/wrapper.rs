@@ -368,7 +368,9 @@ pub fn partition_by_seps(page: &Page, container: NodeId, seps: &[String]) -> Vec
 }
 
 /// One wrapper application attempt on a page: the best-matching container
-/// instance, if any.
+/// instance, if any. The string-comparing statement of the matching rule;
+/// production runs its compiled form (see [`crate::compiled`]), and this
+/// stays as the reference the differential tests compare against.
 pub fn apply_wrapper(
     page: &Page,
     cfg: &MseConfig,

@@ -3,7 +3,8 @@
 //! quotes, null bytes, giant and malformed character references, deep
 //! unclosed nesting, comments spliced between text runs —
 //! [`Page::try_from_html_fast`] must produce extraction-level output
-//! byte-identical to the legacy [`Page::try_from_html`] path.
+//! byte-identical to the owned-string reference ingest
+//! ([`reference_ingest`]).
 //!
 //! Equality is asserted at the *extraction* level only: cleaned lines,
 //! line text/type/position/attributes, tag paths, and per-line
@@ -12,6 +13,7 @@
 //! shift between the two paths while extraction output stays
 //! identical.
 
+use mse_core::ingest::reference_ingest;
 use mse_core::{IngestScratch, Page, ResourceBudget};
 use proptest::prelude::*;
 
@@ -156,19 +158,19 @@ fn pages_equal(a: &Page, b: &Page) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Fast and legacy ingest agree on every adversarial page — both in
+    /// Fast and reference ingest agree on every adversarial page — both in
     /// output and in budget behavior — and recycling the scratch between
     /// pages never changes the result.
     #[test]
     fn fast_ingest_is_byte_identical(html in adversarial_html(), q in "[a-z]{0,6}") {
         let budget = ResourceBudget::default();
         let query = if q.is_empty() { None } else { Some(q.as_str()) };
-        let legacy = Page::try_from_html(&html, query, &budget);
+        let reference = reference_ingest(&html, query, &budget);
         let mut scratch = IngestScratch::new();
         // Twice through one scratch: cold pools, then recycled pools.
         for rep in 0..2 {
             let fast = Page::try_from_html_fast(&html, query, &budget, &mut scratch);
-            match (&legacy, fast) {
+            match (&reference, fast) {
                 (Ok((lp, ld)), Ok((fp, fd))) => {
                     prop_assert_eq!(ld.len(), fd.len(), "diagnostic count (rep {})", rep);
                     pages_equal(&fp, lp);
@@ -177,7 +179,7 @@ proptest! {
                 (Err(_), Err(_)) => {}
                 (l, f) => prop_assert!(
                     false,
-                    "budget divergence (rep {}): legacy ok={} fast ok={}",
+                    "budget divergence (rep {}): reference ok={} fast ok={}",
                     rep, l.is_ok(), f.is_ok()
                 ),
             }

@@ -9,17 +9,20 @@
 //!
 //! One [`Builder`] serves two front ends:
 //!
-//! * [`parse`] / [`parse_with_limits`] — the legacy pipeline: the owned
+//! * [`parse`] / [`parse_with_limits`] — the reference parser: the owned
 //!   [`Token`] stream from [`tokenize`], comments materialized as nodes.
-//! * [`parse_serving`] — the zero-copy serving path: the streaming
-//!   [`Lexer`], node/label/stack buffers recycled through a
+//!   No production path runs it; differential tests and the `serve` bench
+//!   hold the serving parse to it.
+//! * [`parse_serving`] — the zero-copy parse every production path runs
+//!   (wrapper build, one-shot and batch extraction, the daemon): the
+//!   streaming [`Lexer`], node/label/stack buffers recycled through a
 //!   [`ParseScratch`], comment nodes *skipped* (they are invisible to
 //!   layout, tag paths count only element siblings, and tag forests drop
 //!   them), and per-node start-chain labels computed inline so the
 //!   signature pass downstream does not re-derive them.
 //!
 //! Skipping comments must not change anything observable, so the builder
-//! (a) blocks text-node merging exactly where the legacy comment node
+//! (a) blocks text-node merging exactly where the reference comment node
 //! would sit between two text runs ([`Builder::merge_block`]) and
 //! (b) counts skipped nodes toward the node budget so
 //! [`ParseLimits::max_nodes`] trips at identical points on both paths.

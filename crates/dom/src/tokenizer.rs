@@ -7,9 +7,10 @@
 //!
 //! Two front ends share these rules:
 //!
-//! * [`tokenize`] — the legacy API: one pass, owned [`Token`]s
-//!   (`String` names/text, eagerly entity-decoded). Kept verbatim as the
-//!   `--legacy` baseline and the differential-test oracle.
+//! * [`tokenize`] — the reference API: one pass, owned [`Token`]s
+//!   (`String` names/text, eagerly entity-decoded). No production path
+//!   runs it; it backs the reference parser ([`crate::parse`]) that the
+//!   differential tests and the `serve` bench compare against.
 //! * [`Lexer`] — the zero-copy streaming API: [`Event`]s borrow their
 //!   name/text/comment slices straight from the input buffer, the inner
 //!   loops hop between `<`s with the SWAR scanner in [`crate::scan`], and
@@ -17,8 +18,8 @@
 //!   entity path only on runs that contain `&`.
 //!
 //! Both front ends must agree token-for-token on every input — that
-//! equivalence is what makes the fused serving path byte-identical to the
-//! legacy pipeline, and `tests/parse_differential.rs` enforces it on an
+//! equivalence is what makes the fused ingest byte-identical to the
+//! reference pipeline, and `tests/parse_differential.rs` enforces it on an
 //! adversarial corpus.
 
 use crate::entity::decode_entities;

@@ -2,13 +2,12 @@
 //!
 //! Rendering walks an untrusted page's DOM into content lines; a hostile
 //! page can try to explode the line count (one `<br>` per byte). The
-//! layout engine offers two stances: [`render_lines_capped`] truncates at
-//! the budget and reports it (graceful degradation — the pipeline turns
-//! the flag into an extraction diagnostic), while [`render_lines_strict`]
-//! rejects the page with a [`RenderError`].
+//! layout engine truncates at the budget and reports it
+//! ([`render_lines_capped`]); callers choose the stance. Extraction
+//! degrades gracefully (the flag becomes a diagnostic), while wrapper
+//! construction rejects the page with a [`RenderError`].
 //!
 //! [`render_lines_capped`]: crate::layout::render_lines_capped
-//! [`render_lines_strict`]: crate::layout::render_lines_strict
 
 use std::fmt;
 

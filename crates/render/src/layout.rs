@@ -117,20 +117,6 @@ pub fn render_lines_capped_scratch(
     (l.lines, l.truncated)
 }
 
-/// [`render_lines`] that rejects pages over the line budget with a typed
-/// [`crate::RenderError`] instead of truncating.
-pub fn render_lines_strict(
-    dom: &Dom,
-    max_lines: usize,
-) -> Result<Vec<ContentLine>, crate::RenderError> {
-    let (lines, truncated) = render_lines_capped(dom, max_lines);
-    if truncated {
-        Err(crate::RenderError::LineBudgetExceeded { max: max_lines })
-    } else {
-        Ok(lines)
-    }
-}
-
 #[derive(Clone)]
 struct Ctx {
     attr: TextAttr,

@@ -15,8 +15,8 @@
 //! line, left contours, type/font equality), never absolute pixels.
 //!
 //! Rendering is **panic-free by policy** (pages are untrusted input):
-//! traversal depth is guarded, and [`render_lines_capped`] /
-//! [`render_lines_strict`] bound the number of emitted lines.
+//! traversal depth is guarded, and [`render_lines_capped`] bounds the
+//! number of emitted lines.
 
 // Panic-free ingestion gate: untrusted HTML must never be able to abort
 // the process. Tests keep their unwraps (they run on trusted fixtures).
@@ -34,10 +34,7 @@ pub mod page;
 pub mod style;
 
 pub use error::RenderError;
-pub use layout::{
-    render_lines, render_lines_capped, render_lines_capped_scratch, render_lines_strict,
-    LineScratch,
-};
+pub use layout::{render_lines, render_lines_capped, render_lines_capped_scratch, LineScratch};
 pub use line::{dpl, dtl, ContentLine, LineType, POSITION_K};
-pub use page::{cover_forest, render, PageSigs, RenderedPage, SigScratch};
+pub use page::{cover_forest, PageSigs, RenderedPage, SigScratch};
 pub use style::{dtal, FontStyle, LineAttrs, TextAttr};

@@ -4,7 +4,7 @@
 use crate::layout::render_lines;
 use crate::line::ContentLine;
 use mse_dom::intern::{self, Symbol};
-use mse_dom::{Dom, NodeId, NodeKind};
+use mse_dom::{Dom, NodeId, NodeKind, ParseLimits, ParseScratch};
 use std::collections::HashSet;
 
 /// Precomputed per-node / per-line signatures for the extraction serving
@@ -225,11 +225,16 @@ impl RenderedPage {
         RenderedPage { dom, lines, sigs }
     }
 
-    /// Parse + render HTML source.
+    /// Parse + render trusted HTML source with no limits (depth still
+    /// clamps): the fused front ends ([`mse_dom::parse_serving`],
+    /// [`RenderedPage::assemble_fused`]) with fresh scratch.
     pub fn from_html(html: &str) -> RenderedPage {
-        let dom = mse_dom::parse(html);
+        let parsed =
+            mse_dom::parse_serving(html, &ParseLimits::unbounded(), &mut ParseScratch::new());
+        // Unbounded limits never trip; an empty document keeps this total.
+        let (dom, labels) = parsed.unwrap_or_else(|_| (Dom::new(), vec![Symbol::NONE]));
         let lines = render_lines(&dom);
-        RenderedPage::assemble(dom, lines)
+        RenderedPage::assemble_fused(dom, lines, labels, &mut SigScratch::new())
     }
 
     /// All viewable leaves covered by the line range `[start, end)`.
@@ -245,12 +250,6 @@ impl RenderedPage {
     pub fn forest_of_range(&self, start: usize, end: usize) -> Vec<NodeId> {
         cover_forest(&self.dom, &self.leaves_of_range(start, end))
     }
-}
-
-/// Render an already-parsed DOM.
-pub fn render(dom: Dom) -> RenderedPage {
-    let lines = render_lines(&dom);
-    RenderedPage::assemble(dom, lines)
 }
 
 /// Is this node a viewable leaf (the units content lines are made of)?

@@ -54,7 +54,7 @@ pub mod prelude {
     };
     pub use mse_dom::{parse, parse_with_limits, Dom, DomError, ParseLimits};
     pub use mse_eval::{score_engine, CorpusScore};
-    pub use mse_render::{render, RenderError, RenderedPage};
+    pub use mse_render::{RenderError, RenderedPage};
     pub use mse_serve::{Frame, Registry, Request, Server, ServerConfig};
     pub use mse_store::{relearn_into_store, Provenance, Store};
     pub use mse_testbed::{Corpus, CorpusConfig, DriftScenario, EngineSpec};

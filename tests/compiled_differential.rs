@@ -1,10 +1,13 @@
 //! Compiled-path equivalence guarantee: the compiled serving path
 //! (interned tag-paths, render-time signatures, scratch arena) is a pure
 //! performance feature. For every page, its output must be byte-identical
-//! to the legacy string-comparing reference path
+//! to the string-comparing reference matcher
 //! ([`SectionWrapperSet::extract_page_legacy_cached`]) — same sections,
-//! same records, same diagnostics, same JSON.
+//! same records, same diagnostics, same JSON — and the public entry
+//! points must agree with the full reference pipeline (owned-string
+//! ingest, string matcher).
 
+use mse::core::ingest::reference_ingest;
 use mse::core::{
     DistanceCache, ExtractScratch, Extraction, Mse, MseConfig, Page, SectionWrapperSet,
 };
@@ -30,7 +33,8 @@ fn compiled_matches_legacy_over_testbed_corpus() {
     for engine_id in 0..4 {
         let engine = EngineSpec::generate(2006, engine_id);
         let ws = build(&engine, 6);
-        let cw = ws.compile();
+        let compiled_set = ws.compile();
+        let cw = compiled_set.view();
         // Test pages beyond the sample range too (unseen queries).
         for q in 0..10 {
             let gp = engine.page(q);
@@ -58,17 +62,32 @@ fn compiled_matches_legacy_over_testbed_corpus() {
     );
 }
 
+/// The full reference pipeline: owned-string ingest, string matcher.
+fn reference_extract(ws: &SectionWrapperSet, html: &str, query: Option<&str>) -> Extraction {
+    match reference_ingest(html, query, &ws.cfg.budget) {
+        Ok((page, diags)) => {
+            let mut ex = ws.extract_page_legacy_cached(&page, &DistanceCache::disabled());
+            ex.diagnostics.splice(0..0, diags);
+            ex
+        }
+        Err(e) => Extraction::degraded(&e),
+    }
+}
+
 #[test]
 fn public_entry_points_agree_end_to_end() {
-    // extract_with_query (compiled) vs extract_with_query_legacy: same
-    // parse/render front end, both paths, full HTML in.
+    // extract_with_query (fused ingest, compiled matcher) vs the reference
+    // pipeline, full HTML in.
     let engine = EngineSpec::generate(7, 1);
     let ws = build(&engine, 5);
     for q in 0..6 {
         let gp = engine.page(q);
         let a: Extraction = ws.extract_with_query(&gp.html, Some(&gp.query));
-        let b: Extraction = ws.extract_with_query_legacy(&gp.html, Some(&gp.query));
-        assert_eq!(a, b, "page {q}: extract_with_query differs from legacy");
+        let b: Extraction = reference_extract(&ws, &gp.html, Some(&gp.query));
+        assert_eq!(
+            a, b,
+            "page {q}: extract_with_query differs from the reference"
+        );
     }
 }
 

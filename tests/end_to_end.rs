@@ -72,14 +72,25 @@ fn wrapper_set_round_trips_through_json() {
         .build_with_queries(&refs)
         .unwrap();
     let json = serde_json::to_string(&ws).unwrap();
-    let back: mse::core::SectionWrapperSet = serde_json::from_str(&json).unwrap();
-    for q in 5..10 {
-        let page = engine.page(q);
-        assert_eq!(
-            ws.extract_with_query(&page.html, Some(&page.query)),
-            back.extract_with_query(&page.html, Some(&page.query)),
-            "page {q} extraction differs after serde round-trip"
-        );
+    // Files saved before the ingest selector was retired carry a
+    // `legacy_ingest` member in the config; either value must still load
+    // and extract as the current set does.
+    let anchor = "\"strict_verify\":false,";
+    assert!(json.contains(anchor), "config layout changed: {json}");
+    let saved: Vec<String> = ["", "\"legacy_ingest\":true,", "\"legacy_ingest\":false,"]
+        .iter()
+        .map(|member| json.replacen(anchor, &format!("{anchor}{member}"), 1))
+        .collect();
+    for text in &saved {
+        let back: mse::core::SectionWrapperSet = serde_json::from_str(text).unwrap();
+        for q in 5..10 {
+            let page = engine.page(q);
+            assert_eq!(
+                ws.extract_with_query(&page.html, Some(&page.query)),
+                back.extract_with_query(&page.html, Some(&page.query)),
+                "page {q} extraction differs after serde round-trip"
+            );
+        }
     }
 }
 

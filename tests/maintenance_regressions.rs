@@ -109,11 +109,6 @@ fn health_check_budgets_hostile_pages_without_aborting() {
     // not a rebuild order.
     assert_eq!(report.verdict(), DriftVerdict::Degrading);
     assert!(!report.needs_rebuild());
-
-    // The legacy ingest path honors the same budget.
-    ws.cfg.legacy_ingest = true;
-    let legacy = ws.health_check(&pages);
-    assert_eq!(legacy.ingest_failures, 1, "{legacy:?}");
 }
 
 #[test]

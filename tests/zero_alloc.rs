@@ -8,7 +8,7 @@
 //! holds a **single** `#[test]`: a sibling test allocating concurrently
 //! would charge its allocations to the measured window.
 //!
-//! [`match_page_scratch`]: mse_core::CompiledWrapperSet::match_page_scratch
+//! [`match_page_scratch`]: mse_core::CompiledRef::match_page_scratch
 
 use mse_bench::alloc::{counting, CountingAlloc};
 use mse_core::{DistanceCache, ExtractScratch, Mse, MseConfig, Page};
@@ -36,7 +36,8 @@ fn compiled_match_path_is_allocation_free() {
     let mut wrapper_only = ws.clone();
     wrapper_only.families.clear();
     wrapper_only.absorbed.clear();
-    let compiled = wrapper_only.compile();
+    let compiled_set = wrapper_only.compile();
+    let compiled = compiled_set.view();
 
     let pages: Vec<Page> = (0..12)
         .map(|q| {

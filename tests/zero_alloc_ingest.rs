@@ -7,13 +7,14 @@
 //! zero-alloc — page text sizes vary, so some buffers regrow — but at
 //! steady state it must (a) keep its pools at a fixed point instead of
 //! growing without bound, and (b) allocate several times less than the
-//! legacy owned-string path on the same corpus.
+//! owned-string reference ingest on the same corpus.
 //!
 //! The counters are process-global, so this file deliberately holds a
 //! **single** `#[test]`: a sibling test allocating concurrently would
 //! charge its allocations to the measured window.
 
 use mse_bench::alloc::{counting, CountingAlloc};
+use mse_core::ingest::reference_ingest;
 use mse_core::{IngestScratch, Page, ResourceBudget};
 use mse_testbed::EngineSpec;
 
@@ -51,18 +52,18 @@ fn fast_ingest_reaches_allocation_steady_state() {
         "scratch pools must reach a fixed point, not grow per rep"
     );
 
-    // Reference: the legacy owned-string path on the identical corpus.
-    let (_, legacy_allocs, _) = counting(|| {
+    // Reference: the owned-string reference ingest on the identical corpus.
+    let (_, reference_allocs, _) = counting(|| {
         for s in &samples {
-            let _ = Page::try_from_html(&s.html, Some(&s.query), &budget)
+            let _ = reference_ingest(&s.html, Some(&s.query), &budget)
                 .expect("testbed page must ingest");
         }
     });
 
     let n = samples.len() as u64;
     assert!(
-        fast_allocs * 4 < legacy_allocs,
-        "fast ingest allocated {fast_allocs} vs legacy {legacy_allocs} over {n} pages; \
+        fast_allocs * 4 < reference_allocs,
+        "fast ingest allocated {fast_allocs} vs reference {reference_allocs} over {n} pages; \
          expected at least a 4x reduction (bench shows ~17x)"
     );
     assert!(
