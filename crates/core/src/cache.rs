@@ -3,18 +3,25 @@
 //! across MRE verification, refinement, granularity repair, grouping and
 //! family validation).
 //!
-//! Keys are *interned content strings*: a record is keyed by its tag-forest
-//! signature plus the (type, position, attrs) encoding of its lines — the
-//! exact inputs of `Drec` — so two records with identical rendered content
-//! share one entry even across pages. The memo itself is symmetric
-//! (`(a, b)` and `(b, a)` hit the same slot) and safe to share across the
-//! worker threads of one build (`RwLock` tables, atomic hit/miss counters).
+//! Keys are interned *content encodings*: a record is keyed by a `u32`
+//! word sequence holding the (type, position, attrs) of its lines and the
+//! preorder tag-symbol walk of its tag forest — the exact inputs of `Drec`
+//! ([`record_key`](crate::features::record_key)) — so two records with
+//! identical rendered content share one entry even across pages. Line
+//! attribute sets are interned by value into ids inside those words.
+//! Looking up a key that is already interned allocates nothing. A few
+//! cross-page inputs (grouping's forest keys, DSE's line texts) are keyed
+//! by content strings instead; both kinds draw ids from one counter, so
+//! they never share a memo slot. The memo itself is symmetric (`(a, b)`
+//! and `(b, a)` hit the same slot) and safe to share across the worker
+//! threads of one build (`RwLock` tables, atomic hit/miss counters).
 //!
 //! A cache instance is only valid for one [`MseConfig`](crate::MseConfig):
 //! the memoized values bake in the distance weights, which the keys do not
 //! encode. The pipeline creates one cache per build and drops it with the
 //! build, which enforces this by construction.
 
+use mse_render::LineAttrs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -29,11 +36,24 @@ enum Memo {
     GreaterThan(f64),
 }
 
-/// Symmetric pair-distance memo with interned string keys.
+/// The key interning tables.
+#[derive(Debug, Default)]
+struct Keys {
+    /// Content-string keys.
+    strs: HashMap<String, u32>,
+    /// Word-sequence keys (records).
+    words: HashMap<Box<[u32]>, u32>,
+    /// The next key id, shared by `strs` and `words`.
+    next: u32,
+    /// Line attribute sets → ids used inside word keys.
+    attrs: HashMap<LineAttrs, u32>,
+}
+
+/// Symmetric pair-distance memo with interned content keys.
 #[derive(Debug)]
 pub struct DistanceCache {
     enabled: bool,
-    keys: RwLock<HashMap<String, u32>>,
+    keys: RwLock<Keys>,
     pairs: RwLock<HashMap<(u32, u32), Memo>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -43,7 +63,7 @@ impl DistanceCache {
     pub fn new(enabled: bool) -> DistanceCache {
         DistanceCache {
             enabled,
-            keys: RwLock::new(HashMap::new()),
+            keys: RwLock::new(Keys::default()),
             pairs: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -65,12 +85,62 @@ impl DistanceCache {
     /// only caches pure distance computations, so a writer that panicked
     /// mid-insert leaves at worst a missing entry, never a wrong one.
     pub fn intern(&self, key: &str) -> u32 {
-        if let Some(&id) = self.keys.read().unwrap_or_else(|p| p.into_inner()).get(key) {
+        if let Some(&id) = self.read_keys().strs.get(key) {
             return id;
         }
-        let mut keys = self.keys.write().unwrap_or_else(|p| p.into_inner());
-        let next = keys.len() as u32;
-        *keys.entry(key.to_string()).or_insert(next)
+        let mut keys = self.write_keys();
+        let Keys { strs, next, .. } = &mut *keys;
+        *strs.entry(key.to_string()).or_insert_with(|| take_id(next))
+    }
+
+    /// Intern a word-sequence key (see
+    /// [`record_key`](crate::features::record_key)); ids share one space
+    /// with [`intern`](DistanceCache::intern)'s. A key already present
+    /// costs one read-locked lookup and no allocation.
+    pub fn intern_words(&self, key: &[u32]) -> u32 {
+        if let Some(&id) = self.read_keys().words.get(key) {
+            return id;
+        }
+        let mut keys = self.write_keys();
+        let Keys { words, next, .. } = &mut *keys;
+        *words.entry(key.into()).or_insert_with(|| take_id(next))
+    }
+
+    /// The id of a line attribute set, by value: equal sets get equal ids.
+    pub fn attrs_id(&self, attrs: &LineAttrs) -> u32 {
+        if let Some(&id) = self.read_keys().attrs.get(attrs) {
+            return id;
+        }
+        let mut keys = self.write_keys();
+        let next = keys.attrs.len() as u32;
+        *keys.attrs.entry(attrs.clone()).or_insert(next)
+    }
+
+    /// Forget every key and memoized distance, keeping the tables'
+    /// capacity: a long-lived owner (a serving worker) clears between
+    /// requests so the memo's memory stays bounded by one page's records.
+    /// The hit/miss counters keep counting. Ids handed out before a clear
+    /// mean nothing after it, so clear only between uses (no live
+    /// [`Features`](crate::Features) borrowing this cache).
+    pub fn clear(&self) {
+        // `HashMap::clear(..)`, not `.clear()`: srclint's call graph links
+        // a bare `.clear()` to every workspace `clear`, this one included,
+        // and would report a recursion.
+        let mut keys = self.write_keys();
+        HashMap::clear(&mut keys.strs);
+        HashMap::clear(&mut keys.words);
+        HashMap::clear(&mut keys.attrs);
+        keys.next = 0;
+        drop(keys);
+        HashMap::clear(&mut self.pairs.write().unwrap_or_else(|p| p.into_inner()));
+    }
+
+    fn read_keys(&self) -> std::sync::RwLockReadGuard<'_, Keys> {
+        self.keys.read().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn write_keys(&self) -> std::sync::RwLockWriteGuard<'_, Keys> {
+        self.keys.write().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Memoized exact distance for an unordered pair.
@@ -148,6 +218,13 @@ impl DistanceCache {
     }
 }
 
+/// Hand out the next key id.
+fn take_id(next: &mut u32) -> u32 {
+    let id = *next;
+    *next += 1;
+    id
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +237,54 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(c.intern("alpha"), a);
         assert_eq!(c.intern("beta"), b);
+    }
+
+    #[test]
+    fn string_and_word_keys_share_one_id_space() {
+        let c = DistanceCache::new(true);
+        let s = c.intern("alpha");
+        let w = c.intern_words(&[1, 2, 3]);
+        assert_ne!(s, w);
+        assert_eq!(c.intern_words(&[1, 2, 3]), w);
+        assert_ne!(c.intern_words(&[1, 2]), w);
+        assert_ne!(c.intern_words(&[]), w);
+        assert_eq!(c.intern("alpha"), s);
+    }
+
+    #[test]
+    fn attrs_are_interned_by_value() {
+        use mse_render::TextAttr;
+        let c = DistanceCache::new(true);
+        let plain: LineAttrs = [TextAttr::default()].into_iter().collect();
+        let bold: LineAttrs = [TextAttr {
+            style: mse_render::FontStyle {
+                bold: true,
+                italic: false,
+            },
+            ..TextAttr::default()
+        }]
+        .into_iter()
+        .collect();
+        let a = c.attrs_id(&plain);
+        assert_eq!(c.attrs_id(&plain.clone()), a);
+        assert_ne!(c.attrs_id(&bold), a);
+        assert_ne!(c.attrs_id(&LineAttrs::new()), a);
+    }
+
+    #[test]
+    fn clear_forgets_keys_and_distances() {
+        let c = DistanceCache::new(true);
+        let k = c.intern_words(&[7]);
+        c.pair(k, k, || 0.5);
+        c.clear();
+        let mut calls = 0;
+        let k2 = c.intern_words(&[8]);
+        assert_eq!(k2, k, "ids restart after clear");
+        let v = c.pair(k2, k2, || {
+            calls += 1;
+            0.25
+        });
+        assert_eq!((v, calls), (0.25, 1), "memo survived clear");
     }
 
     #[test]

@@ -17,10 +17,15 @@
 //! * record line spans come from the render-time per-node span table
 //!   instead of page scans,
 //! * all intermediate state lives in a reusable [`ExtractScratch`] arena,
-//!   so steady-state *matching* performs zero heap allocation per page
-//!   (materializing the final [`Extraction`] — owned strings — and the
-//!   family Dinr check are the only allocating steps, and only run for
-//!   pages that actually match).
+//!   so steady-state *matching* performs zero heap allocation per page.
+//!   Two steps allocate, and only for pages that actually match:
+//!   materializing the final [`Extraction`] (owned strings), and the
+//!   family Dinr check. The latter builds a per-page [`Features`] (its
+//!   range-keyed maps), interns first-seen record keys and line attribute
+//!   sets into the [`DistanceCache`], and lifts `TagTree`s for record
+//!   pairs the memo misses — or for every pair when the cache is
+//!   disabled, as on the one-shot entry points. Encoding and looking up
+//!   an already-interned record key allocates nothing.
 //!
 //! Every extraction entry point runs it, and so does wrapper build's
 //! self-validation step (one wrapper at a time, through a build-owned
@@ -784,8 +789,8 @@ impl CompiledRef<'_> {
     /// Match-only probe for benchmarks: run candidate proposal + selection
     /// but skip materialization. Returns `(sections, records)` counts.
     /// This is the steady-state zero-allocation path on a warmed scratch
-    /// (when the set has no families — the family Dinr check builds tag
-    /// forests, which allocate).
+    /// (when the set has no families — the family Dinr check allocates,
+    /// see the module doc).
     pub fn match_page_scratch(
         &self,
         page: &Page,

@@ -5,11 +5,12 @@
 use crate::cache::DistanceCache;
 use crate::config::MseConfig;
 use crate::page::Page;
+use mse_dom::intern::Symbol;
+use mse_dom::{Dom, NodeId};
 use mse_render::block::{dbp, dbs, dbt, dbta};
-use mse_treedit::{forest_distance, forest_distance_bounded, TagTree};
+use mse_treedit::{forest_distance, forest_distance_bounded, TagTree, MAX_TREE_DEPTH};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// A record: a half-open range of content lines on one page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,6 +38,62 @@ impl Rec {
     }
 }
 
+/// Reusable buffers for [`record_key`].
+#[derive(Default)]
+pub struct KeyScratch {
+    words: Vec<u32>,
+    nodes: Vec<NodeId>,
+}
+
+/// The word closing a tree in a record key. Tag symbols never take this
+/// value ([`Symbol::NONE`]).
+const CLOSE: u32 = Symbol::NONE.0;
+
+/// Intern record `r`'s memo key in `cache` and return its id. The key is
+/// the exact input of `Drec`, encoded as words: the line count, then per
+/// line its type code, position and attribute-set id, then the tag forest
+/// as a preorder walk of tag symbols, each tree closed by [`CLOSE`] — the
+/// trees [`Page::forest`] would lift (same node filter, same depth cap),
+/// without building them. Equal keys ⇔ equal forests (labels and shape)
+/// and equal line encodings. Once the record's key and attribute sets
+/// are interned, this allocates nothing (given warmed `scratch`).
+pub fn record_key(cache: &DistanceCache, page: &Page, r: Rec, scratch: &mut KeyScratch) -> u32 {
+    let rp = &page.rp;
+    let lines = rp.lines.get(r.start..r.end).unwrap_or(&[]);
+    let words = &mut scratch.words;
+    words.clear();
+    words.push(lines.len() as u32);
+    for l in lines {
+        words.push(u32::from(l.ltype.code()));
+        words.push(l.pos as u32);
+        words.push(cache.attrs_id(&l.attrs));
+    }
+    rp.forest_of_range_into(r.start, r.end, &mut scratch.nodes);
+    let labels = &rp.sigs.labels;
+    for &n in &scratch.nodes {
+        if labels.get(n.index()).is_some_and(|l| !l.is_none()) {
+            encode_tree(&rp.dom, labels, n, 0, words);
+        }
+    }
+    cache.intern_words(words)
+}
+
+/// Append the preorder open/close walk of the tag tree at `n`, as
+/// [`TagTree::from_dom`] builds it: children are the element and
+/// non-whitespace text nodes (exactly those with a label), and nodes at
+/// the depth cap become leaves.
+fn encode_tree(dom: &Dom, labels: &[Symbol], n: NodeId, depth: usize, out: &mut Vec<u32>) {
+    out.push(labels.get(n.index()).map_or(CLOSE, |l| l.0));
+    if depth < MAX_TREE_DEPTH {
+        for c in dom.children(n) {
+            if labels.get(c.index()).is_some_and(|l| !l.is_none()) {
+                encode_tree(dom, labels, c, depth + 1, out);
+            }
+        }
+    }
+    out.push(CLOSE);
+}
+
 /// Feature calculator with a per-page tag-forest cache (forest lifting is
 /// the expensive part of `Drec`) and an optional shared [`DistanceCache`]
 /// memoizing record-pair distances across pages and `Features` instances.
@@ -46,6 +103,7 @@ pub struct Features<'a> {
     cache: Option<&'a DistanceCache>,
     forests: HashMap<(usize, usize), Vec<TagTree>>,
     keys: HashMap<(usize, usize), u32>,
+    key_scratch: KeyScratch,
     divs: HashMap<(usize, usize), f64>,
 }
 
@@ -57,6 +115,7 @@ impl<'a> Features<'a> {
             cache: None,
             forests: HashMap::new(),
             keys: HashMap::new(),
+            key_scratch: KeyScratch::default(),
             divs: HashMap::new(),
         }
     }
@@ -82,22 +141,14 @@ impl<'a> Features<'a> {
         }
     }
 
-    /// The record's interned content key: its tag-forest signature plus
-    /// the (type, position, attrs) encoding of its lines — exactly the
-    /// inputs of `Drec`, so equal keys imply equal distances.
+    /// The record's interned content key ([`record_key`]) — exactly the
+    /// inputs of `Drec`, so equal keys imply equal distances. Tag trees
+    /// are lifted only when a pair misses the memo.
     fn rec_key(&mut self, cache: &DistanceCache, r: Rec) -> u32 {
         if let Some(&k) = self.keys.get(&(r.start, r.end)) {
             return k;
         }
-        self.ensure_forest(r);
-        let mut s = String::from("R|");
-        for t in &self.forests[&(r.start, r.end)] {
-            s.push_str(&t.signature());
-        }
-        for l in &self.page.rp.lines[r.start..r.end] {
-            let _ = write!(s, "|{:?},{},{:?}", l.ltype, l.pos, l.attrs);
-        }
-        let k = cache.intern(&s);
+        let k = record_key(cache, self.page, r, &mut self.key_scratch);
         self.keys.insert((r.start, r.end), k);
         k
     }
@@ -116,7 +167,11 @@ impl<'a> Features<'a> {
     /// Without an enabled cache this runs the *reference* engine — the
     /// full unbounded `Drec` compared against `bound` afterwards — so
     /// benchmarks can A/B the optimized distance engine against the
-    /// textbook evaluation. Both modes return identical values.
+    /// textbook evaluation. Both modes return identical values. Builds,
+    /// `extract_batch` and the serving daemon pass an enabled cache; the
+    /// one-shot entry points (`extract_with_query`, `extract_page`,
+    /// `try_extract`) and the reference matcher pass
+    /// [`DistanceCache::disabled`] and so stay on the reference engine.
     pub fn drec_bounded(&mut self, a: Rec, b: Rec, bound: f64) -> f64 {
         match self.cache {
             Some(cache) if cache.enabled() => {

@@ -438,6 +438,12 @@ impl SectionWrapperSet {
     /// over the rendered prefix plus a diagnostic. Use
     /// [`try_extract_with_query`](SectionWrapperSet::try_extract_with_query)
     /// for typed errors instead.
+    ///
+    /// Runs family Dinr checks on the reference distance engine (no
+    /// memo, unbounded `Drec`), unlike `extract_batch` and the serving
+    /// daemon, which pass an enabled [`DistanceCache`]. That keeps this
+    /// one-shot path an independent cross-check of the memoized engine:
+    /// the daemon's byte-identity gates compare against it.
     pub fn extract_with_query(&self, html: &str, query: Option<&str>) -> Extraction {
         match Page::try_from_html(html, query, &self.cfg.budget) {
             Ok((page, diags)) => {

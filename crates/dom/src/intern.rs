@@ -296,9 +296,19 @@ pub fn interned_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The interner is process-global and these tests count its entries,
+    /// so they run one at a time: a sibling interning a new name between
+    /// one test's count and its check would move the count.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     #[test]
     fn symbols_are_stable_and_injective() {
+        let _serial = serial();
         let a = intern("table");
         let b = intern("weird-custom-tag");
         assert_ne!(a, b);
@@ -311,6 +321,7 @@ mod tests {
 
     #[test]
     fn resolve_round_trips() {
+        let _serial = serial();
         for name in ["html", "td", "#text", "another-odd-tag-xyz"] {
             let sym = intern(name);
             assert_eq!(resolve(sym), Some(name));
@@ -321,6 +332,7 @@ mod tests {
 
     #[test]
     fn lookup_does_not_insert() {
+        let _serial = serial();
         let before = interned_count();
         assert_eq!(lookup("never-interned-lookup-only-tag"), None);
         assert_eq!(interned_count(), before);
@@ -330,6 +342,7 @@ mod tests {
 
     #[test]
     fn seed_vocabulary_present() {
+        let _serial = serial();
         for &tag in SEED_TAGS {
             assert!(lookup(tag).is_some(), "seed tag {tag} missing");
         }
@@ -337,6 +350,7 @@ mod tests {
 
     #[test]
     fn intern_pair_returns_interned_storage() {
+        let _serial = serial();
         let (sym, name) = intern_pair("table");
         assert_eq!(sym, intern("table"));
         assert_eq!(name, "table");
@@ -345,6 +359,7 @@ mod tests {
 
     #[test]
     fn intern_tag_lower_folds_case() {
+        let _serial = serial();
         assert_eq!(intern_tag_lower("DIV"), intern_pair("div"));
         assert_eq!(intern_tag_lower("TaBlE"), intern_pair("table"));
         assert_eq!(intern_tag_lower("div"), intern_pair("div"));
@@ -355,6 +370,7 @@ mod tests {
 
     #[test]
     fn lower_inline_bounds() {
+        let _serial = serial();
         let mut buf = [0u8; TAG_BUF];
         assert_eq!(lower_inline("BR", &mut buf), Some("br"));
         assert_eq!(lower_inline("", &mut buf), Some(""));
@@ -365,6 +381,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_prefix_stable_and_warm_is_idempotent() {
+        let _serial = serial();
         let before = snapshot();
         assert!(before.len() >= SEED_TAGS.len());
         let sym = intern("snapshot-only-tag");
@@ -381,6 +398,7 @@ mod tests {
 
     #[test]
     fn concurrent_interning_agrees() {
+        let _serial = serial();
         let names: Vec<String> = (0..64).map(|i| format!("race-tag-{i}")).collect();
         let results: Vec<Vec<Symbol>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)

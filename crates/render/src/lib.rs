@@ -36,5 +36,5 @@ pub mod style;
 pub use error::RenderError;
 pub use layout::{render_lines, render_lines_capped, render_lines_capped_scratch, LineScratch};
 pub use line::{dpl, dtl, ContentLine, LineType, POSITION_K};
-pub use page::{cover_forest, PageSigs, RenderedPage, SigScratch};
+pub use page::{PageSigs, RenderedPage, SigScratch};
 pub use style::{dtal, FontStyle, LineAttrs, TextAttr};

@@ -4,8 +4,8 @@
 use crate::layout::render_lines;
 use crate::line::ContentLine;
 use mse_dom::intern::{self, Symbol};
-use mse_dom::{Dom, NodeId, NodeKind, ParseLimits, ParseScratch};
-use std::collections::HashSet;
+use mse_dom::{Dom, NodeData, NodeId, NodeKind, ParseLimits, ParseScratch};
+use std::sync::OnceLock;
 
 /// Precomputed per-node / per-line signatures for the extraction serving
 /// path (see DESIGN.md §11).
@@ -27,9 +27,17 @@ pub struct PageSigs {
     /// Per node: the start chain (depth 3, padded with [`Symbol::NONE`]).
     /// Equal chains ⇔ equal `start_chain` strings.
     pub chains: Vec<[Symbol; 3]>,
-    /// Per node: half-open content-line span covered by the node's
-    /// viewable leaves (`(u32::MAX, 0)` when it covers none).
+    /// Per node: half-open content-line span covered by the line leaves
+    /// at or below the node (`(u32::MAX, 0)` when it covers none).
     pub spans: Vec<(u32, u32)>,
+    /// Per node: the cover table entry behind
+    /// [`RenderedPage::forest_of_range`] — the half-open line hull of the
+    /// node's *cover leaves* (the viewable leaves at or below it, not
+    /// descending below a viewable element such as `<button>`).
+    /// [`PageSigs::NO_SPAN`] when it has no cover leaf; `hi ==`
+    /// [`PageSigs::ORPHAN`] when some cover leaf sits on no line (line
+    /// budget truncation, content that does not render).
+    pub covers: Vec<(u32, u32)>,
     /// Per line: the [`LineType`](crate::LineType) code — record shapes
     /// compare against these without materializing a `Vec<u8>` per record.
     pub line_types: Vec<u8>,
@@ -42,11 +50,23 @@ pub struct PageSigs {
 #[derive(Default)]
 pub struct SigScratch {
     first_viewable: Vec<Option<NodeId>>,
-    stack: Vec<(NodeId, bool)>,
+    stack: Vec<Visit>,
     labels: Vec<Symbol>,
     chains: Vec<[Symbol; 3]>,
     spans: Vec<(u32, u32)>,
+    covers: Vec<(u32, u32)>,
     line_types: Vec<u8>,
+}
+
+/// One step of the post-order span pass: a node, its depth below the
+/// document root, whether its cover entry merges into its parent's, and
+/// whether its subtree is done.
+#[derive(Clone, Copy)]
+struct Visit {
+    node: NodeId,
+    depth: u32,
+    merge_up: bool,
+    done: bool,
 }
 
 impl SigScratch {
@@ -60,6 +80,7 @@ impl SigScratch {
     pub fn recycle(&mut self, sigs: PageSigs) -> Vec<Symbol> {
         self.chains = sigs.chains;
         self.spans = sigs.spans;
+        self.covers = sigs.covers;
         self.line_types = sigs.line_types;
         sigs.labels
     }
@@ -68,6 +89,9 @@ impl SigScratch {
 impl PageSigs {
     /// The sentinel span of a node covering no content line.
     pub const NO_SPAN: (u32, u32) = (u32::MAX, 0);
+    /// The `hi` of a [`PageSigs::covers`] entry with an orphan cover leaf.
+    /// No line range ends there, so such a node is never inside one.
+    pub const ORPHAN: u32 = u32::MAX;
 
     /// Compute all signatures for a rendered page. `O(nodes + lines)`.
     pub fn build(dom: &Dom, lines: &[ContentLine]) -> PageSigs {
@@ -134,41 +158,77 @@ impl PageSigs {
             }
         }
         // mse:hot end(sig-chains)
-        // Leaf lines, then one post-order pass lifting spans to ancestors.
+        // Leaf lines, then one post-order pass lifting spans to ancestors
+        // and building the cover table.
         let mut spans = std::mem::take(&mut scratch.spans);
         spans.clear();
         spans.resize(n, Self::NO_SPAN);
+        let mut covers = std::mem::take(&mut scratch.covers);
+        covers.clear();
+        covers.resize(n, Self::NO_SPAN);
+        let leaf_syms = leaf_syms();
         // mse:hot begin(sig-span-lift)
         for (idx, line) in lines.iter().enumerate() {
             for &leaf in &line.leaves {
-                // mse:allow(index): line leaves are nodes of this DOM, table is len n
-                let s = &mut spans[leaf.index()];
-                s.0 = s.0.min(idx as u32);
-                s.1 = s.1.max(idx as u32 + 1);
+                widen(&mut spans, leaf, (idx as u32, idx as u32 + 1));
             }
         }
         // Iterative post-order: a node pops after all its descendants have
         // merged into it, then merges itself into its parent. (Iterative,
         // not recursive: adversarially deep DOMs must not grow the call
         // stack — the traversal stack lives in the reusable scratch.)
+        //
+        // Cover entries (see `forest_of_range`): a viewable leaf's entry
+        // is its own line, or an orphan mark, whatever lies below it; any
+        // other node merges its children's entries unless it sits deeper
+        // than the cover depth guard. When a node is first visited its
+        // span holds only its own line, as no child has merged yet.
         let stack = &mut scratch.stack;
         stack.clear();
-        stack.push((dom.root(), false));
-        while let Some((node, processed)) = stack.pop() {
-            if processed {
-                // mse:allow(index): node/parent are nodes of this DOM
-                if let Some(parent) = dom[node].parent {
-                    // mse:allow(index): node is a node of this DOM, table is len n
-                    let child = spans[node.index()];
-                    // mse:allow(index): node/parent are nodes of this DOM
-                    let s = &mut spans[parent.index()];
-                    s.0 = s.0.min(child.0);
-                    s.1 = s.1.max(child.1);
+        stack.push(Visit {
+            node: dom.root(),
+            depth: 0,
+            merge_up: false,
+            done: false,
+        });
+        while let Some(v) = stack.pop() {
+            let i = v.node.index();
+            // mse:allow(index): stack entries are nodes of this DOM
+            let data = &dom[v.node];
+            if !v.done {
+                let label = labels.get(i).copied().unwrap_or(Symbol::NONE);
+                let leaf = leaf_syms.is_viewable_leaf(data, label);
+                if leaf {
+                    let own = spans.get(i).copied().unwrap_or(Self::NO_SPAN);
+                    if let Some(c) = covers.get_mut(i) {
+                        *c = if own == Self::NO_SPAN {
+                            (u32::MAX, Self::ORPHAN)
+                        } else {
+                            own
+                        };
+                    }
                 }
-            } else {
-                stack.push((node, true));
-                for c in dom.children(node) {
-                    stack.push((c, false));
+                if data.first_child.is_some() {
+                    stack.push(Visit { done: true, ..v });
+                    let merge_up = !leaf && (v.depth as usize) <= MAX_COVER_DEPTH;
+                    for c in dom.children(v.node) {
+                        stack.push(Visit {
+                            node: c,
+                            depth: v.depth.saturating_add(1),
+                            merge_up,
+                            done: false,
+                        });
+                    }
+                    continue;
+                }
+            }
+            // The subtree is done: merge it into the parent.
+            if let Some(parent) = data.parent {
+                let child = spans.get(i).copied().unwrap_or(Self::NO_SPAN);
+                widen(&mut spans, parent, child);
+                if v.merge_up {
+                    let child = covers.get(i).copied().unwrap_or(Self::NO_SPAN);
+                    widen(&mut covers, parent, child);
                 }
             }
         }
@@ -180,6 +240,7 @@ impl PageSigs {
             labels,
             chains,
             spans,
+            covers,
             line_types,
         }
     }
@@ -237,94 +298,127 @@ impl RenderedPage {
         RenderedPage::assemble_fused(dom, lines, labels, &mut SigScratch::new())
     }
 
-    /// All viewable leaves covered by the line range `[start, end)`.
-    pub fn leaves_of_range(&self, start: usize, end: usize) -> Vec<NodeId> {
-        self.lines[start..end]
-            .iter()
-            .flat_map(|l| l.leaves.iter().copied())
-            .collect()
-    }
-
     /// The tag forest (maximal covered DOM nodes) for the line range
     /// `[start, end)` — the record's "underneath tag structure" (paper §4.1).
+    ///
+    /// A node is *covered* when it has at least one viewable leaf and
+    /// every viewable leaf below it (not descending below a viewable
+    /// element) sits on a line in the range; the forest is the maximal
+    /// covered nodes strictly inside the document scaffolding, in
+    /// document order. Answered from the render-time cover table
+    /// ([`PageSigs::covers`]) in time proportional to the nodes on the
+    /// paths down to the forest, not to the page. (The table assumes each
+    /// leaf sits on at most one line, which [`render_lines`] guarantees.)
     pub fn forest_of_range(&self, start: usize, end: usize) -> Vec<NodeId> {
-        cover_forest(&self.dom, &self.leaves_of_range(start, end))
+        let mut out = Vec::new();
+        self.forest_of_range_into(start, end, &mut out);
+        out
+    }
+
+    /// [`forest_of_range`](RenderedPage::forest_of_range) into a caller
+    /// buffer (cleared first); allocates only to grow `out`.
+    pub fn forest_of_range_into(&self, start: usize, end: usize, out: &mut Vec<NodeId>) {
+        out.clear();
+        let end = end.min(self.lines.len());
+        if start < end {
+            cover_walk(&self.dom, &self.sigs, self.dom.root(), 0, (start, end), out);
+        }
     }
 }
 
-/// Is this node a viewable leaf (the units content lines are made of)?
-fn is_viewable_leaf(dom: &Dom, n: NodeId) -> bool {
-    match &dom[n].kind {
-        NodeKind::Text(t) => !t.trim().is_empty(),
-        NodeKind::Element { tag, .. } => matches!(
-            *tag,
-            "img" | "input" | "select" | "textarea" | "button" | "hr"
-        ),
-        _ => false,
-    }
-}
-
-/// Given a set of viewable leaves, compute the *cover forest*: the maximal
-/// DOM nodes all of whose viewable leaves belong to the set (and that
-/// contain at least one). This is how a block of content lines is lifted to
-/// the sub-forest the paper manipulates (records are sub-forests of the
-/// section's minimum subtree, §4.1).
-pub fn cover_forest(dom: &Dom, leaves: &[NodeId]) -> Vec<NodeId> {
-    let set: HashSet<NodeId> = leaves.iter().copied().collect();
-    if set.is_empty() {
-        return vec![];
-    }
-    let mut out = Vec::new();
-    collect_cover(dom, dom.root(), &set, &mut out, 0);
-    out
-}
-
-/// Recursion guard matching [`crate::layout`]'s: parsed DOMs are
-/// depth-clamped, so this only protects against hand-built deep trees.
+/// Recursion guard for the cover walk, matching [`crate::layout`]'s:
+/// parsed DOMs are depth-clamped, so this only matters for hand-built
+/// deep trees. Nodes deeper than this are never forest members, and
+/// below it only viewable leaves count as cover leaves.
 const MAX_COVER_DEPTH: usize = 1024;
 
-/// Returns (covered, has_leaf): `covered` = every viewable leaf in this
-/// subtree is in the set; `has_leaf` = the subtree has at least one
-/// viewable leaf. Appends maximal covered nodes to `out` in document order.
-fn cover_info(dom: &Dom, n: NodeId, set: &HashSet<NodeId>, depth: usize) -> (bool, bool) {
-    if is_viewable_leaf(dom, n) {
-        return (set.contains(&n), true);
-    }
-    if depth > MAX_COVER_DEPTH {
-        // Content below the guard is invisible to layout too; treat it as
-        // leafless rather than overflowing the stack.
-        return (true, false);
-    }
-    let mut covered = true;
-    let mut has_leaf = false;
-    for c in dom.children(n) {
-        let (cc, cl) = cover_info(dom, c, set, depth + 1);
-        covered &= cc || !cl;
-        has_leaf |= cl;
-    }
-    (covered, has_leaf)
+/// The labels [`PageSigs::labels`] gives viewable leaves — the units
+/// content lines are made of: non-whitespace text, and the
+/// `img`/`input`/`select`/`textarea`/`button`/`hr` elements.
+struct LeafSyms {
+    text: Symbol,
+    elements: [Symbol; 6],
+    /// Bit `s` set for each element symbol `s < 64`: the pre-seeded
+    /// interner gives these tags small ids, so the test is one shift.
+    mask: u64,
 }
 
-fn collect_cover(dom: &Dom, n: NodeId, set: &HashSet<NodeId>, out: &mut Vec<NodeId>, depth: usize) {
+impl LeafSyms {
+    /// Is the node `data`, whose start-chain label is `label`, a
+    /// viewable leaf? (An element literally named `#text` shares the text
+    /// label, so that label also checks the node kind.)
+    #[inline]
+    fn is_viewable_leaf(&self, data: &NodeData, label: Symbol) -> bool {
+        if label == self.text {
+            data.is_text()
+        } else if label.0 < 64 {
+            self.mask >> label.0 & 1 == 1
+        } else {
+            self.elements.contains(&label)
+        }
+    }
+}
+
+fn leaf_syms() -> &'static LeafSyms {
+    static SYMS: OnceLock<LeafSyms> = OnceLock::new();
+    SYMS.get_or_init(|| {
+        let elements = ["img", "input", "select", "textarea", "button", "hr"].map(intern::intern);
+        let mask = elements
+            .iter()
+            .filter(|s| s.0 < 64)
+            .fold(0u64, |m, s| m | 1 << s.0);
+        LeafSyms {
+            text: intern::intern(intern::TEXT_LABEL),
+            elements,
+            mask,
+        }
+    })
+}
+
+/// Widen the half-open span at `node` to include `by`.
+#[inline]
+fn widen(table: &mut [(u32, u32)], node: NodeId, by: (u32, u32)) {
+    if let Some(s) = table.get_mut(node.index()) {
+        s.0 = s.0.min(by.0);
+        s.1 = s.1.max(by.1);
+    }
+}
+
+/// Push the maximal covered nodes at or below `n` (at `depth` below the
+/// root) for the line range `[lo, hi)`. A subtree none of whose line
+/// leaves falls in the range holds no covered node and is skipped whole.
+fn cover_walk(
+    dom: &Dom,
+    sigs: &PageSigs,
+    n: NodeId,
+    depth: usize,
+    (lo, hi): (usize, usize),
+    out: &mut Vec<NodeId>,
+) {
     if depth > MAX_COVER_DEPTH {
         return;
+    }
+    let i = n.index();
+    match sigs.spans.get(i) {
+        Some(&(a, b)) if (a as usize) < hi && (b as usize) > lo => {}
+        _ => return,
     }
     // The document scaffolding can never be a forest member — a record is
     // always strictly inside <body>.
     let scaffolding = matches!(&dom[n].kind, NodeKind::Document)
         || matches!(dom[n].tag(), Some("html") | Some("head") | Some("body"));
     if !scaffolding {
-        let (covered, has_leaf) = cover_info(dom, n, set, depth);
-        if covered && has_leaf {
+        let cover = sigs.covers.get(i).copied().unwrap_or(PageSigs::NO_SPAN);
+        if cover == PageSigs::NO_SPAN {
+            return; // no viewable leaf below
+        }
+        if cover.0 as usize >= lo && cover.1 as usize <= hi {
             out.push(n);
             return;
         }
-        if !has_leaf {
-            return;
-        }
     }
-    for c in dom.children(n).collect::<Vec<_>>() {
-        collect_cover(dom, c, set, out, depth + 1);
+    for c in dom.children(n) {
+        cover_walk(dom, sigs, c, depth + 1, (lo, hi), out);
     }
 }
 
@@ -377,7 +471,8 @@ mod tests {
     #[test]
     fn cover_forest_empty() {
         let p = RenderedPage::from_html("<body><p>x</p></body>");
-        assert!(cover_forest(&p.dom, &[]).is_empty());
+        assert!(p.forest_of_range(0, 0).is_empty());
+        assert!(p.forest_of_range(1, 1).is_empty());
     }
 
     #[test]

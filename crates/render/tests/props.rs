@@ -1,10 +1,109 @@
 //! Property tests: the layouter is total and its outputs satisfy the
-//! invariants the pipeline depends on.
+//! invariants the pipeline depends on; the cover-table forest lifting
+//! agrees with the direct leaf-set definition (`cover_forest` below).
 
 #[allow(unused_imports)]
 use mse_dom::parse;
-use mse_render::{render_lines, LineType, RenderedPage};
+use mse_dom::{Dom, NodeId, NodeKind};
+use mse_render::{render_lines, render_lines_capped, LineType, RenderedPage};
 use proptest::prelude::*;
+use std::collections::HashSet;
+
+/// The reference definition of a record's tag forest, kept as the oracle
+/// for [`RenderedPage::forest_of_range`]: given the viewable leaves of a
+/// line range, the maximal DOM nodes all of whose viewable leaves belong
+/// to the set (and that contain at least one), strictly inside the
+/// document scaffolding, in document order. Re-derives every subtree's
+/// leaf set from scratch at every node on the way down.
+fn cover_forest(dom: &Dom, leaves: &[NodeId]) -> Vec<NodeId> {
+    let set: HashSet<NodeId> = leaves.iter().copied().collect();
+    if set.is_empty() {
+        return vec![];
+    }
+    let mut out = Vec::new();
+    collect_cover(dom, dom.root(), &set, &mut out, 0);
+    out
+}
+
+/// The oracle's recursion guard (the layouter's, 1024).
+const MAX_COVER_DEPTH: usize = 1024;
+
+fn is_viewable_leaf(dom: &Dom, n: NodeId) -> bool {
+    match &dom[n].kind {
+        NodeKind::Text(t) => !t.trim().is_empty(),
+        NodeKind::Element { tag, .. } => matches!(
+            *tag,
+            "img" | "input" | "select" | "textarea" | "button" | "hr"
+        ),
+        _ => false,
+    }
+}
+
+/// (covered, has_leaf) of the subtree at `n`.
+fn cover_info(dom: &Dom, n: NodeId, set: &HashSet<NodeId>, depth: usize) -> (bool, bool) {
+    if is_viewable_leaf(dom, n) {
+        return (set.contains(&n), true);
+    }
+    if depth > MAX_COVER_DEPTH {
+        return (true, false);
+    }
+    let mut covered = true;
+    let mut has_leaf = false;
+    for c in dom.children(n) {
+        let (cc, cl) = cover_info(dom, c, set, depth + 1);
+        covered &= cc || !cl;
+        has_leaf |= cl;
+    }
+    (covered, has_leaf)
+}
+
+fn collect_cover(dom: &Dom, n: NodeId, set: &HashSet<NodeId>, out: &mut Vec<NodeId>, depth: usize) {
+    if depth > MAX_COVER_DEPTH {
+        return;
+    }
+    let scaffolding = matches!(&dom[n].kind, NodeKind::Document)
+        || matches!(dom[n].tag(), Some("html") | Some("head") | Some("body"));
+    if !scaffolding {
+        let (covered, has_leaf) = cover_info(dom, n, set, depth);
+        if covered && has_leaf {
+            out.push(n);
+            return;
+        }
+        if !has_leaf {
+            return;
+        }
+    }
+    for c in dom.children(n).collect::<Vec<_>>() {
+        collect_cover(dom, c, set, out, depth + 1);
+    }
+}
+
+/// The oracle's forest for lines `[start, end)` of `page`.
+fn oracle_forest(page: &RenderedPage, start: usize, end: usize) -> Vec<NodeId> {
+    let leaves: Vec<NodeId> = page.lines[start..end]
+        .iter()
+        .flat_map(|l| l.leaves.iter().copied())
+        .collect();
+    cover_forest(&page.dom, &leaves)
+}
+
+/// Compare the cover table with the oracle on every line range whose
+/// length is at most `max_len`; returns the first disagreement.
+fn forest_mismatch(page: &RenderedPage, max_len: usize) -> Option<String> {
+    let n = page.lines.len();
+    for start in 0..=n {
+        for end in start..=n.min(start.saturating_add(max_len)) {
+            let got = page.forest_of_range(start, end);
+            let want = oracle_forest(page, start, end);
+            if got != want {
+                return Some(format!(
+                    "lines {start}..{end}: table {got:?}, oracle {want:?}"
+                ));
+            }
+        }
+    }
+    None
+}
 
 fn html_fragment() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -28,6 +127,35 @@ fn html_fragment() -> impl Strategy<Value = String> {
         Just("</font>".to_string()),
         "[a-z ]{0,10}",
     ]
+}
+
+/// [`html_fragment`] plus the shapes the cover table treats specially:
+/// viewable elements with children, whitespace, comments and content
+/// that does not render.
+fn cover_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        html_fragment(),
+        html_fragment(),
+        html_fragment(),
+        html_fragment(),
+        Just("<button>x</button>".to_string()),
+        Just("<button><b>y</b> z</button>".to_string()),
+        Just("<select><option>a</option><option>b</option></select>".to_string()),
+        Just("<option>loose</option>".to_string()),
+        Just("<textarea>t</textarea>".to_string()),
+        Just("<input type=hidden value=h>".to_string()),
+        Just("   \n  ".to_string()),
+        Just("<!-- c -->".to_string()),
+        Just("<p>".to_string()),
+        Just("<span>".to_string()),
+        Just("</span>".to_string()),
+        Just("<script>s</script>".to_string()),
+        Just("<tr><td>stray</td></tr>".to_string()),
+    ]
+}
+
+fn cover_doc() -> impl Strategy<Value = String> {
+    proptest::collection::vec(cover_fragment(), 0..32).prop_map(|v| v.concat())
 }
 
 fn html_doc() -> impl Strategy<Value = String> {
@@ -135,6 +263,128 @@ proptest! {
                     forest.iter().any(|&f| f == leaf || page.dom.is_ancestor(f, leaf)),
                     "leaf not covered by forest"
                 );
+            }
+        }
+    }
+
+    /// The cover table agrees with the oracle on every line range of a
+    /// random page, rendered in full and truncated by a line budget (the
+    /// budget leaves viewable leaves on no line).
+    #[test]
+    fn forest_of_range_matches_cover_forest(doc in cover_doc(), cap in 0usize..40) {
+        let full = RenderedPage::from_html(&doc);
+        prop_assert_eq!(forest_mismatch(&full, usize::MAX), None);
+        let dom = parse(&doc);
+        let (lines, _) = render_lines_capped(&dom, cap);
+        let truncated = RenderedPage::assemble(dom, lines);
+        prop_assert_eq!(forest_mismatch(&truncated, usize::MAX), None);
+    }
+}
+
+/// A hand-built chain `body > div > div > …` of `chain` divs, with a text
+/// leaf, a `<button>` holding text, and an `<img>` hung off each of the
+/// last few levels: the leaves straddle both the layouter's and the cover
+/// walk's depth guards.
+fn deep_dom(chain: usize) -> Dom {
+    let mut dom = Dom::new();
+    let el = |dom: &mut Dom, tag: &'static str| {
+        dom.alloc(NodeKind::Element {
+            tag,
+            attrs: Vec::new(),
+        })
+    };
+    let html = el(&mut dom, "html");
+    dom.append(dom.root(), html);
+    let body = el(&mut dom, "body");
+    dom.append(html, body);
+    let mut cur = body;
+    for level in 0..chain {
+        let div = el(&mut dom, "div");
+        dom.append(cur, div);
+        if level + 6 >= chain {
+            let t = dom.alloc(NodeKind::Text(format!("t{level}")));
+            dom.append(div, t);
+            let button = el(&mut dom, "button");
+            dom.append(div, button);
+            let label = dom.alloc(NodeKind::Text("press".into()));
+            dom.append(button, label);
+            let img = el(&mut dom, "img");
+            dom.append(div, img);
+            let ws = dom.alloc(NodeKind::Text("  ".into()));
+            dom.append(div, ws);
+            let br = el(&mut dom, "br");
+            dom.append(div, br);
+        }
+        cur = div;
+    }
+    dom
+}
+
+#[test]
+fn forest_of_range_matches_cover_forest_at_depth_guards() {
+    // Document → html → body is depth 2; a chain of `c` divs ends at
+    // depth c + 2, so these straddle the 1024 guards on both sides.
+    let mut lines_seen = 0;
+    for chain in [1018, 1021, 1024, 1027] {
+        let dom = deep_dom(chain);
+        let lines = render_lines(&dom);
+        let page = RenderedPage::assemble(dom, lines);
+        lines_seen += page.lines.len();
+        assert_eq!(forest_mismatch(&page, usize::MAX), None, "chain {chain}");
+    }
+    assert!(lines_seen > 0);
+}
+
+#[test]
+fn forest_of_range_matches_cover_forest_at_parser_clamp() {
+    // Nesting past the parser's depth clamp is flattened: the levels past
+    // it all land at the clamp.
+    let mut html = String::from("<body>");
+    for i in 0..280 {
+        html.push_str(&format!("<div>l{i}<button>b</button><br>"));
+    }
+    html.push_str("</body>");
+    let page = RenderedPage::from_html(&html);
+    let n = page.lines.len();
+    assert!(n > 250);
+    for start in (0..n).step_by(13) {
+        for end in start..=n.min(start + 3) {
+            assert_eq!(
+                page.forest_of_range(start, end),
+                oracle_forest(&page, start, end)
+            );
+        }
+    }
+    for k in (0..n).step_by(41) {
+        assert_eq!(page.forest_of_range(0, k), oracle_forest(&page, 0, k));
+        assert_eq!(page.forest_of_range(k, n), oracle_forest(&page, k, n));
+    }
+}
+
+#[test]
+fn forest_of_range_matches_cover_forest_on_testbed_pages() {
+    // Every page of the 119-engine seed-2006 testbed. The oracle costs
+    // O(page × depth) per range, so each page checks two ranges per start
+    // line — one line, and 2–5 lines cycling with the start (record
+    // sizes) — plus prefixes and suffixes (section-sized ranges).
+    for e in 0..119 {
+        let spec = mse_testbed::EngineSpec::generate(2006, e);
+        for q in 0..10 {
+            let page = RenderedPage::from_html(&spec.page(q).html);
+            let n = page.lines.len();
+            for start in 0..n {
+                for len in [1, 2 + start % 4] {
+                    let end = n.min(start + len);
+                    assert_eq!(
+                        page.forest_of_range(start, end),
+                        oracle_forest(&page, start, end),
+                        "engine {e} page {q} lines {start}..{end}"
+                    );
+                }
+            }
+            for k in (0..=n).step_by(8) {
+                assert_eq!(page.forest_of_range(0, k), oracle_forest(&page, 0, k));
+                assert_eq!(page.forest_of_range(k, n), oracle_forest(&page, k, n));
             }
         }
     }

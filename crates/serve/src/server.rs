@@ -497,7 +497,10 @@ fn worker_loop(queue: &PartitionedQueue<Job>, stats: &ServerStats, cache: Option
     let mut ext = ExtractScratch::new();
     let mut ing = IngestScratch::new();
     let mut compiled: CompiledCache = HashMap::new();
-    let dcache = mse_core::DistanceCache::disabled();
+    // One distance memo per worker, cleared before each request: family
+    // Dinr checks run the memoized bounded engine, and the memo never
+    // holds more than one page's records.
+    let dcache = mse_core::DistanceCache::new(true);
     // mse:hot begin(worker-loop)
     while let Some(job) = queue.pop() {
         serve_one(
@@ -573,6 +576,7 @@ fn serve_one(
             for d in diags {
                 sink.diagnostic(d);
             }
+            dcache.clear();
             cref.extract_stream_scratch(&page, dcache, ext, &mut sink);
             let done = Frame::Done {
                 sections: sink.sections,

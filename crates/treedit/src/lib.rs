@@ -32,5 +32,6 @@ pub use sed::{
 };
 pub use tagtree::{
     forest_distance, forest_distance_bounded, forest_of, norm_tree_distance, TagTree,
+    MAX_TREE_DEPTH,
 };
 pub use zs::tree_edit_distance;

@@ -108,7 +108,7 @@ impl TagTree {
 }
 
 /// Depth cap for [`TagTree::from_dom`]; nodes at the cap become leaves.
-const MAX_TREE_DEPTH: usize = 1024;
+pub const MAX_TREE_DEPTH: usize = 1024;
 
 /// Normalized tree edit distance `Dtt ∈ [0, 1]`: Zhang–Shasha distance with
 /// unit costs, divided by the size of the larger tree and clamped (the raw
